@@ -7,10 +7,10 @@ import os
 import sys
 import time
 
-from .expr import render_expr
-from .flatness import (Budgets, CandidateCountMismatch, NotLinearizable,
-                       analyze, verify_flat_output)
-from .jetgeom import MultiIndex, ad_pow
+from .expr import ExprError, render_expr
+from .flatness import (Budgets, CandidateCountMismatch, InternalError,
+                       NotLinearizable, analyze, verify_flat_output)
+from .jetgeom import GeometryError, MultiIndex, ad_pow
 from .prolong import build_prolonged
 from .report import AnalysisReport
 from .sysdsl import DslError, emit_report, parse_system
@@ -19,6 +19,7 @@ EXIT_FLAT = 0
 EXIT_NOT_FLAT = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70      # sysexits EX_SOFTWARE: a library error, never a verdict
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,6 +225,10 @@ def main(argv=None) -> int:
     except DslError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
+    except (GeometryError, InternalError, ExprError) as err:
+        print("internal error: %s: %s" % (type(err).__name__, err),
+              file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_USAGE
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 
@@ -409,6 +410,16 @@ def pmonic(a: Poly) -> Poly:
         return a
     _, lc = pleading(a)
     return pscale(a, 1 / lc)
+
+
+def primitive_scale(coeffs: Iterable[Fraction]) -> Fraction:
+    """lcm(denominators) / gcd(numerators): the positive scale that turns the
+    coefficients into coprime integers."""
+    g, l = 0, 1
+    for c in coeffs:
+        g = gcd(g, c.numerator)
+        l = l * c.denominator // gcd(l, c.denominator)
+    return Fraction(l, g if g else 1)
 
 
 def _main_var(a: Poly, b: Poly) -> Optional[VarRef]:

@@ -4,19 +4,24 @@ pure-prolongation analysis, and flat-output verification and search."""
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import (Expr, VarRef, pconst, render_expr, render_poly)
+from .expr import (DenominatorVanishes, Expr, VarRef, cos_var, mono_cmp,
+                   mono_from, pconst, primitive_scale, render_expr,
+                   render_poly, sin_var)
 from .jetgeom import (Distribution, MultiIndex, PointEchelon, VectorField,
+                      _factor_polys, accumulate_factors, bracket_failures,
                       generic_rank, lie_bracket)
 from .prolong import (ProlongedSystem, build_prolonged, delta_filtration,
                       delta_generators, g_filtration, g_level_fields,
                       g_stabilization, gamma_filtration)
 from .report import INF, AnalysisReport, InitTrace, SigmaStep
-from .sysdsl import SystemDef
+from .sysdsl import SystemDef, _Parser, tokenize
 
 
 class NotLinearizable(Exception):
@@ -76,31 +81,17 @@ class Context:
             return self._inv[key]
         ps = self.ps(j)
         dist = delta_filtration(ps, k)
-        gens = dist.generators
+        pairs = itertools.combinations(dist.generators, 2)
         fails = []
-        ok = True
         if k > 0 and (j, k - 1) in self._inv:
             # Delta is nested: only brackets touching new generators, plus the
             # previous failures against the bigger span, need rechecking
-            seen = {id(g) for g in delta_generators(ps, k - 1)
-                    if not g.is_zero()}
-            new_set = {idx for idx, g in enumerate(gens) if id(g) not in seen}
-            pairs = [(a, b) for a in range(len(gens))
-                     for b in range(a + 1, len(gens))
-                     if a in new_set or b in new_set]
-            for ga, gb, br in self._inv[(j, k - 1)][1]:
-                if not dist.contains(br):
-                    ok = False
-                    fails.append((ga, gb, br))
-        else:
-            pairs = [(a, b) for a in range(len(gens))
-                     for b in range(a + 1, len(gens))]
-        for a, b in pairs:
-            br = lie_bracket(gens[a], gens[b])
-            if not br.is_zero() and not dist.contains(br):
-                ok = False
-                fails.append((gens[a], gens[b], br))
-        self._inv[key] = (ok, fails)
+            old = set(delta_generators(ps, k - 1))
+            pairs = [(a, b) for a, b in pairs if a not in old or b not in old]
+            fails = [f for f in self._inv[(j, k - 1)][1]
+                     if not dist.contains(f[2])]
+        fails.extend(bracket_failures(pairs, dist.contains))
+        self._inv[key] = (not fails, fails)
         return self._inv[key]
 
     # [Gamma_k, Delta_k] c Delta_k, incremental in k per j
@@ -110,17 +101,10 @@ class Context:
             return self._gam[key]
         ps = self.ps(j)
         dist = delta_filtration(ps, k)
-        dgens = dist.generators
-        ggens = gamma_filtration(ps, k).generators
-        fails = []
-        ok = True
-        for gv in ggens:
-            for dv in dgens:
-                br = lie_bracket(gv, dv)
-                if not br.is_zero() and not dist.contains(br):
-                    ok = False
-                    fails.append((gv, dv, br))
-        self._gam[key] = (ok, fails)
+        pairs = itertools.product(gamma_filtration(ps, k).generators,
+                                  dist.generators)
+        fails = list(bracket_failures(pairs, dist.contains))
+        self._gam[key] = (not fails, fails)
         return self._gam[key]
 
 
@@ -198,7 +182,6 @@ def channel_indices(ps: ProlongedSystem) -> Tuple[int, ...]:
     alive = list(range(1, m + 1))
     k = 0
     total = 0
-    from .expr import DenominatorVanishes
     while alive and total < ps.space.dim and k <= ps.space.dim:
         level = g_level_fields(ps, k)
         for p in list(alive):
@@ -268,16 +251,12 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
         g_ranks.append(gdist.rank)
         inv_ok, inv_fails = ctx.delta_involutive(tuple(j), k)
         if not inv_ok and violation is None:
-            ga, gb, br = inv_fails[0]
             violation = {"condition": "involutivity", "k": k,
-                         "pair": [ga.render(), gb.render()],
-                         "bracket": br.render()}
+                         **_rendered(inv_fails[0])}
         gam_ok, gam_fails = ctx.gamma_invariant(tuple(j), k)
-        if gam_ok is False and violation is None:
-            ga, gb, br = gam_fails[0]
+        if not gam_ok and violation is None:
             violation = {"condition": "gamma_invariance", "k": k,
-                         "pair": [ga.render(), gb.render()],
-                         "bracket": br.render()}
+                         **_rendered(gam_fails[0])}
         if violation is not None and stop_on_violation:
             return CnsResult(False, violation, None, d_ranks, gam_ranks,
                              g_ranks, cross_ok, [])
@@ -317,21 +296,25 @@ def _certify_conditions(ps: ProlongedSystem, kstar: int) -> Optional[dict]:
         dist = delta_filtration(ps, k)
         if dist.certificate.symbolic_rank is None:
             continue
-        ok, wit = dist.is_involutive(certified=True)
-        if not ok:
-            ga, gb, br = wit
-            return {"condition": "involutivity", "k": k, "certified": True,
-                    "pair": [ga.render(), gb.render()],
-                    "bracket": br.render()}
-        for gv in gamma_filtration(ps, k).generators:
-            for dv in dist.generators:
-                br = lie_bracket(gv, dv)
-                if not br.is_zero() and not dist.contains_certified(br):
-                    return {"condition": "gamma_invariance", "k": k,
-                            "certified": True,
-                            "pair": [gv.render(), dv.render()],
-                            "bracket": br.render()}
+        member = dist.contains_certified
+        condition = "involutivity"
+        fail = next(bracket_failures(
+            itertools.combinations(dist.generators, 2), member), None)
+        if fail is None:
+            condition = "gamma_invariance"
+            fail = next(bracket_failures(itertools.product(
+                gamma_filtration(ps, k).generators, dist.generators),
+                member), None)
+        if fail is not None:
+            return {"condition": condition, "k": k, "certified": True,
+                    **_rendered(fail)}
     return None
+
+
+def _rendered(fail) -> dict:
+    """The report form of a failing bracket pair (g_a, g_b, [g_a, g_b])."""
+    ga, gb, br = fail
+    return {"pair": [ga.render(), gb.render()], "bracket": br.render()}
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +367,10 @@ def _cmin(tuples: List[Tuple[int, ...]], width: int) -> Tuple:
     return tuple(min(t[i] for t in tuples) for i in range(width))
 
 
+def _smallest(tuples: List[Tuple[int, ...]]) -> Tuple[int, ...]:
+    return min(tuples, key=lambda t: (sum(t), t))
+
+
 def eager_admissible(ctx: Context, init_kept: Tuple[int, ...]) -> bool:
     m = ctx.sysdef.m
     init = Initialization(init_kept, "eager")
@@ -428,24 +415,48 @@ class SigmaRun:
         return ok
 
     def _survivors(self, box: int, upto_k: int) -> List[Tuple[int, ...]]:
-        out = []
-        for t in self._tuples(box):
-            good = True
-            for k in range(1, upto_k + 1):
-                if not (self._delta_ok(t, k) and self._gamma_ok(t, k)):
-                    good = False
-                    break
-            if good:
-                out.append(t)
-        return out
+        return [t for t in self._tuples(box)
+                if all(self._delta_ok(t, k) and self._gamma_ok(t, k)
+                       for k in range(1, upto_k + 1))]
 
     def _step0(self):
         # k = 0: both conditions hold for every l (coordinate fields); the
         # eager variant records the pinned start l_{p0+1} = 1
-        base = 1 if self.init.variant == "eager" else 0
-        vec = tuple(base if (self.init.variant == "eager" and i == 0) else 0
-                    for i in range(self.width))
+        lead = 1 if self.init.variant == "eager" else 0
+        vec = tuple(lead if i == 0 else 0 for i in range(self.width))
         self.steps.append(SigmaStep(0, vec, vec, None, 1))
+
+    def for_variant(self, init: Initialization) -> "SigmaRun":
+        """This run under another variant of the same kept channels: only
+        step 0 depends on the variant, every later field carries over."""
+        clone = copy.copy(self)
+        clone.init = init
+        clone.steps = []
+        clone._step0()
+        clone.steps.extend(self.steps[1:])
+        return clone
+
+    def step(self, k: int, box: int):
+        """Evaluate both conditions on the box at k, record the SigmaStep and
+        return (s_delta, sorted survivors of every step up to k)."""
+        tuples = self._tuples(box)
+        s_delta = {t for t in tuples if self._delta_ok(t, k)}
+        s_gamma = {t for t in tuples if self._gamma_ok(t, k)}
+        prior = set(self._survivors(box, k - 1))
+        surv = sorted(prior & s_delta & s_gamma)
+        # reported sigma: literal componentwise min, masked to 0 when the
+        # condition eliminates nothing that everything else allows
+        lit_d = _cmin(sorted(s_delta), self.width)
+        lit_g = _cmin(sorted(s_gamma), self.width)
+        rep_d = (0,) * self.width if (prior & s_gamma) <= s_delta else lit_d
+        rep_g = (0,) * self.width if (prior & s_delta) <= s_gamma else lit_g
+        witness = None
+        if surv:
+            w = _smallest(surv)
+            witness = {self.ctx.sysdef.input_names[c - 1]: v
+                       for c, v in zip(self.channels, w)}
+        self.steps.append(SigmaStep(k, rep_d, rep_g, witness, box))
+        return s_delta, surv
 
     def run(self, best_total: Optional[int] = None):
         ctx, init = self.ctx, self.init
@@ -463,23 +474,7 @@ class SigmaRun:
                 self.failure_note = "max_k exhausted"
                 return self
             box = _box_limit(k, user_box)
-            tuples = self._tuples(box)
-            s_delta = {t for t in tuples if self._delta_ok(t, k)}
-            s_gamma = {t for t in tuples if self._gamma_ok(t, k)}
-            prior = set(self._survivors(box, k - 1))
-            surv = [t for t in sorted(prior & s_delta & s_gamma)]
-            # reported sigma: literal componentwise min, masked to 0 when the
-            # condition eliminates nothing that everything else allows
-            lit_d = _cmin(sorted(s_delta), self.width)
-            lit_g = _cmin(sorted(s_gamma), self.width)
-            rep_d = (0,) * self.width if (prior & s_gamma) <= s_delta else lit_d
-            rep_g = (0,) * self.width if (prior & s_delta) <= s_gamma else lit_g
-            witness = None
-            if surv:
-                w = min(surv, key=lambda t: (sum(t), t))
-                witness = {sysdef.input_names[c - 1]: v
-                           for c, v in zip(self.channels, w)}
-            self.steps.append(SigmaStep(k, rep_d, rep_g, witness, box))
+            s_delta, surv = self.step(k, box)
             if not s_delta:
                 self.outcome = "infinite"
                 self.failure_k = k
@@ -491,15 +486,13 @@ class SigmaRun:
                 self.failure_note = ("no prolongation in the certified box "
                                      "satisfies every step up to k=%d" % k)
                 return self
-            cmin_vec = _cmin(surv, self.width)
-            if tuple(int(v) for v in cmin_vec) in prior & s_delta & s_gamma:
-                cand = tuple(int(v) for v in cmin_vec)
-            else:
+            cand = _cmin(surv, self.width)
+            if cand not in surv:
                 ctx.warnings.append(
                     "componentwise minimum of the satisfying set is not itself "
                     "satisfying at k=%d (kept=%s); using the smallest element"
                     % (k, init.kept))
-                cand = min(surv, key=lambda t: (sum(t), t))
+                cand = _smallest(surv)
             self.last_bound = cand
             jf = _embed(init, m, cand)
             if best_total is not None and sum(cand) > best_total:
@@ -540,11 +533,8 @@ class SigmaRun:
             jf = _embed(self.init, self.m, _cap(t, k + 1))
             ok, fails = self.ctx.delta_involutive(jf, k)
             if not ok:
-                ga, gb, br = fails[0]
-                self.witnesses.append({
-                    "l": list(jf), "k": k,
-                    "pair": [ga.render(), gb.render()],
-                    "bracket": br.render()})
+                self.witnesses.append({"l": list(jf), "k": k,
+                                       **_rendered(fails[0])})
                 if len(self.witnesses) >= 3:
                     return
 
@@ -572,40 +562,22 @@ def enumerate_initializations(ctx: Context) -> List[Initialization]:
 def sigma_delta(sysdef: SystemDef, init: Initialization, k: int,
                 box_limit: Optional[int] = None, ctx: Optional[Context] = None):
     """Reported sigma_Delta(k) for one initialization (see SigmaRun)."""
-    run = _sigma_upto(sysdef, init, k, box_limit, ctx)
-    return run.steps[k].sigma_delta
+    return _sigma_step(sysdef, init, k, box_limit, ctx).sigma_delta
 
 
 def sigma_gamma_delta(sysdef: SystemDef, init: Initialization, k: int,
                       box_limit: Optional[int] = None,
                       ctx: Optional[Context] = None):
-    run = _sigma_upto(sysdef, init, k, box_limit, ctx)
-    return run.steps[k].sigma_gamma_delta
+    return _sigma_step(sysdef, init, k, box_limit, ctx).sigma_gamma_delta
 
 
-def _sigma_upto(sysdef, init, k, box_limit, ctx) -> SigmaRun:
-    if ctx is None:
-        ctx = Context(sysdef, Budgets())
-    run = SigmaRun(ctx, init)
+def _sigma_step(sysdef, init, k, box_limit, ctx) -> SigmaStep:
+    """Step k of the recursion, the user box applying at k only."""
+    run = SigmaRun(ctx or Context(sysdef, Budgets()), init)
     run._step0()
     for kk in range(1, k + 1):
-        box = _box_limit(kk, box_limit if kk == k else None)
-        tuples = run._tuples(box)
-        s_delta = {t for t in tuples if run._delta_ok(t, kk)}
-        s_gamma = {t for t in tuples if run._gamma_ok(t, kk)}
-        prior = set(run._survivors(box, kk - 1))
-        lit_d = _cmin(sorted(s_delta), run.width)
-        lit_g = _cmin(sorted(s_gamma), run.width)
-        rep_d = (0,) * run.width if (prior & s_gamma) <= s_delta else lit_d
-        rep_g = (0,) * run.width if (prior & s_delta) <= s_gamma else lit_g
-        surv = sorted(prior & s_delta & s_gamma)
-        witness = None
-        if surv:
-            w = min(surv, key=lambda t: (sum(t), t))
-            witness = {sysdef.input_names[c - 1]: v
-                       for c, v in zip(run.channels, w)}
-        run.steps.append(SigmaStep(kk, rep_d, rep_g, witness, box))
-    return run
+        run.step(kk, _box_limit(kk, box_limit if kk == k else None))
+    return run.steps[k]
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +648,6 @@ def _chain_jacobian_certificate(ps: ProlongedSystem, candidates, assign):
             rows.append(_gradient_field(ps, phi))
     cert = generic_rank(rows, ps.space, seed=ps.seed, samples=ps.samples,
                         base_point=ps.base_point)
-    from .jetgeom import _factor_polys, accumulate_factors
     polys = list(cert.factors)
     for row in rows:
         for e in row.coeffs.values():
@@ -694,7 +665,6 @@ def _chain_jacobian_certificate(ps: ProlongedSystem, candidates, assign):
 
 
 def _ansatz_monomials(ps: ProlongedSystem, degree: int):
-    from .expr import sin_var, cos_var
     letters: List[VarRef] = list(ps.space.coords)
     for b in ps.space.trig_bases:
         letters.append(sin_var(b))
@@ -744,10 +714,11 @@ def _nullspace_candidates(ps: ProlongedSystem, kap: int, degree: int) -> List[Ex
                     row_index[key] = len(rows)
                     rows.append([Fraction(0)] * len(monos))
                 rows[row_index[key]][col] = coeff
-    basis = _nullspace(rows, len(monos))
-    from .expr import mono_from
+    ech = PointEchelon()
+    for row in rows:
+        ech.insert(row)
     out = []
-    for vec in basis:
+    for vec in ech.nullspace(len(monos)):
         poly = {}
         for col, c in enumerate(vec):
             if c:
@@ -760,57 +731,10 @@ def _nullspace_candidates(ps: ProlongedSystem, kap: int, degree: int) -> List[Ex
     return out
 
 
-def _nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Reduced row echelon nullspace basis, one vector per free column."""
-    mat = [list(r) for r in rows]
-    pivots: List[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [a / pv for a in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def _normalize_output(e: Expr) -> Expr:
     """Integer-primitive scaling with the graded-lex smallest monomial positive."""
-    from math import gcd
-    from .expr import mono_cmp
-    nums = [c.numerator for c in e.num.values()]
-    dens = [c.denominator for c in e.num.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    scale = Fraction(l, g if g else 1)
-    smallest = None
-    for mono in e.num:
-        if smallest is None or mono_cmp(mono, smallest) < 0:
-            smallest = mono
-    if e.num[smallest] < 0:
+    scale = primitive_scale(e.num.values())
+    if e.num[min(e.num, key=cmp_to_key(mono_cmp))] < 0:
         scale = -scale
     return e * Expr.rational(scale)
 
@@ -853,7 +777,7 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
                     if not all(ech.insert(r.eval_row(ech.point)) for r in rows):
                         ok = False
                         break
-                except Exception:
+                except DenominatorVanishes:
                     ok = False
                     break
             if ok:
@@ -915,16 +839,7 @@ def analyze(sysdef: SystemDef, budgets: Optional[Budgets] = None) -> AnalysisRep
     seen_kept = {}
     for init in inits:
         if init.kept in seen_kept:
-            base = seen_kept[init.kept]
-            clone = SigmaRun(ctx, init)
-            clone._step0()
-            clone.steps.extend(base.steps[1:])
-            clone.outcome = base.outcome
-            clone.candidate = base.candidate
-            clone.failure_k = base.failure_k
-            clone.failure_note = base.failure_note
-            clone.witnesses = base.witnesses
-            runs.append(clone)
+            runs.append(seen_kept[init.kept].for_variant(init))
             continue
         run = SigmaRun(ctx, init)
         run.run(best_total=sum(best[0]) if best else None)
@@ -1044,7 +959,6 @@ def _flag_base_point(ctx: Context, ps: ProlongedSystem, factors: List[str]):
 
 
 def _eval_factor_string(sysdef: SystemDef, s: str, base) -> Fraction:
-    from .sysdsl import tokenize, _Parser
     toks = tokenize(s + "\n")
     p = _Parser(toks, sysdef)
     e = p.expr()

@@ -3,15 +3,16 @@ generic rank with exact certificates, involutivity and closures."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .expr import (Expr, Poly, VarRef, cos_var, pconst, pdivexact,
-                   pleading, pmonomial_content, pmul, pscale, psub, pvar,
-                   param_var, render_expr, render_poly, sin_var,
+from .expr import (Expr, Poly, VarRef, cos_var, mono_div, pconst, pdivexact,
+                   pleading, pmonomial_content, pmul, primitive_scale, pscale,
+                   psub, pvar, param_var, render_expr, render_poly, sin_var,
                    DenominatorVanishes, MONO_ONE, UDERIV)
 
 
@@ -266,43 +267,26 @@ def is_vertical(v: VectorField, depends_at_most: MultiIndex) -> bool:
 # Rank machinery
 
 def fraction_rank(rows: List[List[Fraction]]) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f:
-                fr = f / pv
-                rows[r] = [a - fr * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    ech = PointEchelon()
+    for row in rows:
+        ech.insert(row)
+    return ech.rank
 
 
 class PointEchelon:
-    """Incremental reduced rows at one sample point, for membership probes."""
+    """Incremental row echelon form over Q: the rank machinery of sampled
+    rank, membership probes at one sample point, and exact nullspaces."""
 
-    def __init__(self, point: Dict[VarRef, Fraction]):
+    def __init__(self, point: Optional[Dict[VarRef, Fraction]] = None):
         self.point = point
         self.rows: List[Tuple[int, List[Fraction]]] = []   # (pivot col, row)
 
     def residual(self, row: List[Fraction]) -> Optional[List[Fraction]]:
-        row = list(row)
         for pc, prow in self.rows:
             if row[pc]:
                 f = row[pc] / prow[pc]
-                row = [a - f * b for a, b in zip(row, prow)]
+                # rows are sparse: skip the columns prow leaves unchanged
+                row = [a - f * b if b else a for a, b in zip(row, prow)]
         return row if any(row) else None
 
     def insert(self, row: List[Fraction]) -> bool:
@@ -317,6 +301,30 @@ class PointEchelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def nullspace(self, ncols: int) -> List[List[Fraction]]:
+        """Nullspace basis read off the reduced row echelon form, one vector
+        per free column in column order."""
+        reduced: List[Tuple[int, List[Fraction]]] = []
+        for pc, row in reversed(self.rows):
+            pv = row[pc]
+            row = [a / pv for a in row]
+            for qc, qrow in reduced:
+                f = row[qc]
+                if f:
+                    row = [a - f * b for a, b in zip(row, qrow)]
+            reduced.append((pc, row))
+        pivots = {pc for pc, _ in reduced}
+        basis = []
+        for fc in range(ncols):
+            if fc in pivots:
+                continue
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            for pc, row in reduced:
+                vec[pc] = -row[fc]
+            basis.append(vec)
+        return basis
 
 
 def _factor_polys(p: Poly) -> List[Poly]:
@@ -336,28 +344,15 @@ def _factor_polys(p: Poly) -> List[Poly]:
 
 
 def _mono_quot(m, mono):
-    from .expr import mono_div
     q = mono_div(m, mono)
     return q if q is not None else m
 
 
 def _int_primitive(p: Poly) -> Poly:
     """Scale to coprime integer coefficients with positive leading coefficient."""
-    from math import gcd
-    nums = [c.numerator for c in p.values()]
-    dens = [c.denominator for c in p.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    scale = Fraction(l, g if g else 1)
-    q = pscale(p, scale)
-    _, lc = pleading(q)
-    if lc < 0:
-        q = pscale(q, Fraction(-1))
-    return q
+    scale = primitive_scale(p.values())
+    _, lc = pleading(p)
+    return pscale(p, -scale if lc < 0 else scale)
 
 
 def accumulate_factors(acc: List[Poly], candidates: List[Poly]):
@@ -647,36 +642,39 @@ class Distribution:
         aug, _ = symbolic_rank(self.generators + [v], self.space)
         return aug <= self.certificate.symbolic_rank
 
-    def is_involutive(self, certified: bool = False):
+    def is_involutive(self):
         """(True, None) or (False, (g_a, g_b, [g_a, g_b])) with the first
         failing pair in deterministic generator order."""
-        member = self.contains_certified if certified else self.contains
-        gens = self.generators
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                br = lie_bracket(gens[a], gens[b])
-                if not member(br):
-                    return False, (gens[a], gens[b], br)
-        return True, None
+        fail = next(bracket_failures(
+            itertools.combinations(self.generators, 2), self.contains), None)
+        return fail is None, fail
 
     def involutive_closure(self, max_iter: Optional[int] = None) -> "Distribution":
         budget = max_iter if max_iter is not None \
             else (self.space.dim - self.rank) + 2
         current = self
         for _ in range(budget + 1):
-            new_fields: List[VectorField] = []
-            gens = current.generators
             probe = current
-            for a in range(len(gens)):
-                for b in range(a + 1, len(gens)):
-                    br = lie_bracket(gens[a], gens[b])
-                    if not probe.contains(br):
-                        probe = Distribution(self.space, probe.generators + [br],
-                                             seed=self.seed, samples=self.samples)
-                        new_fields.append(br)
-            if not new_fields:
+            # the probe grows during the sweep: each bracket is tested
+            # against the span that already holds the failures before it
+            for _, _, br in bracket_failures(
+                    itertools.combinations(current.generators, 2),
+                    lambda v: probe.contains(v)):
+                probe = Distribution(self.space, probe.generators + [br],
+                                     seed=self.seed, samples=self.samples)
+            if probe is current:
                 return current
             current = probe
             if current.rank >= self.space.dim:
                 return current
         raise IterationBudgetExceeded("involutive closure did not stabilize")
+
+
+def bracket_failures(pairs: Iterable[Tuple[VectorField, VectorField]],
+                     member: Callable[[VectorField], bool]):
+    """Yield (a, b, [a, b]) for each nonzero bracket of the pairs that
+    `member` rejects, lazily and in pair order."""
+    for a, b in pairs:
+        br = lie_bracket(a, b)
+        if not br.is_zero() and not member(br):
+            yield a, b, br

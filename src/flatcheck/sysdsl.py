@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .expr import (Expr, VarRef, cos_var, input_var, param_var, render_expr,
-                   sin_var, state_var)
+from .expr import (Expr, VarRef, _plain_var_of, cos_var, input_var, param_var,
+                   render_expr, sin_var, state_var)
 from .report import AnalysisReport
 
 KEYWORDS = {"system", "state", "input", "param", "dot", "flatoutput", "point"}
@@ -226,10 +226,6 @@ class RationalPoint:
             full[cos_var(base)] = c
         return full
 
-    def covers(self, variables) -> bool:
-        full = self.resolved()
-        return all(v in full for v in variables)
-
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -321,7 +317,7 @@ class _Parser:
             self.take()
             inner = self.expr()
             self.expect_op(")")
-            base = _as_plain_var(inner)
+            base = _plain_var_of(inner)
             if base is None:
                 raise DslError("sin/cos argument must be a plain variable",
                                t.line, t.col)
@@ -333,11 +329,6 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise SyntaxErr(t.line, t.col, "an expression")
-
-
-def _as_plain_var(e: Expr) -> Optional[VarRef]:
-    from .expr import _plain_var_of
-    return _plain_var_of(e)
 
 
 def _rational(p: _Parser) -> Fraction:

@@ -116,6 +116,20 @@ def test_exit_codes_are_total():
     assert p.returncode == 64
 
 
+def test_library_error_exits_internal_not_not_flat(monkeypatch, capsys):
+    from flatcheck import cli
+    from flatcheck.flatness import InternalError
+
+    def broken(sysdef, budgets):
+        raise InternalError("bound failed")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    code = cli.main(["analyze", str(FIXTURES / "driftless.flt")])
+    assert code == cli.EXIT_INTERNAL == 70
+    assert code != cli.EXIT_NOT_FLAT
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_json_validates_against_published_schema():
     import jsonschema
     schema = json.loads((PKG / "schema" / "report.schema.json").read_text())

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from flatcheck.expr import Expr, render_expr
-from flatcheck.flatness import (Budgets, CandidateCountMismatch,
-                                Initialization, NotLinearizable, analyze,
-                                brunovsky_indices, channel_indices, cns_check,
-                                search_flat_outputs, sigma_delta,
+from flatcheck.flatness import (Budgets, CandidateCountMismatch, Context,
+                                Initialization, NotLinearizable, SigmaRun,
+                                analyze, brunovsky_indices, channel_indices,
+                                cns_check, search_flat_outputs, sigma_delta,
                                 sigma_gamma_delta, static_linearizable,
                                 verify_flat_output)
 from flatcheck.jetgeom import MultiIndex
@@ -105,6 +105,22 @@ def test_sigma_gamma_delta_chained_examples(chained):
     eager = Initialization((2,), "eager")
     k0e = sigma_gamma_delta(chained, eager, 0)
     assert all(v in (0, 1) for v in k0e)
+
+
+def test_eager_variant_copy_keeps_the_run_past_step0(chained):
+    # a budget-stopped run: its last bound decides minimality in analyze,
+    # so the eager copy must carry it like every other field
+    base = SigmaRun(Context(chained, Budgets(max_k=1)),
+                    Initialization((2,), "standard")).run()
+    assert base.outcome == "budget" and base.last_bound is not None
+    eager = base.for_variant(Initialization((2,), "eager"))
+    assert eager.init.variant == "eager" and base.init.variant == "standard"
+    assert eager.steps[0].sigma_delta == (1,)
+    assert base.steps[0].sigma_delta == (0,)
+    assert eager.steps[1:] == base.steps[1:]
+    for attr in ("outcome", "candidate", "failure_k", "failure_note",
+                 "witnesses", "last_bound"):
+        assert getattr(eager, attr) == getattr(base, attr)
 
 
 def test_sigma_delta_pendulum_infinite(pendulum):

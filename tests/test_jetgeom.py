@@ -1,10 +1,13 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from flatcheck.expr import Expr
-from flatcheck.jetgeom import (Distribution, MultiIndex, SpaceMismatch,
-                               VectorField, ad_pow, is_vertical,
+from flatcheck.jetgeom import (Distribution, MultiIndex, PointEchelon,
+                               SpaceMismatch, VectorField, ad_pow,
+                               bracket_failures, fraction_rank, is_vertical,
                                lie_bracket, unit_field)
 from flatcheck.prolong import build_prolonged, delta_filtration, g_filtration
 
@@ -177,3 +180,40 @@ def test_involutive_closure_budget(chained):
     G1 = g_filtration(ps, 1)
     with pytest.raises(IterationBudgetExceeded):
         G1.involutive_closure(max_iter=0)
+
+
+def test_point_echelon_rank_and_rref_nullspace():
+    F = Fraction
+    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(1), F(0), F(1)]]
+    assert fraction_rank(rows) == 2
+    ech = PointEchelon()
+    for row in rows:
+        ech.insert(row)
+    # RREF [[1, 0, 1], [0, 1, 1]]: one free column, entries read off exactly
+    assert ech.nullspace(3) == [[F(-1), F(-1), F(1)]]
+    assert PointEchelon().nullspace(2) == [[F(1), F(0)], [F(0), F(1)]]
+    rng = random.Random(5)
+    for _ in range(30):
+        ncols = rng.randint(1, 6)
+        rows = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(ncols)]
+                for _ in range(rng.randint(0, 6))]
+        ech = PointEchelon()
+        for row in rows:
+            ech.insert(row)
+        basis = ech.nullspace(ncols)
+        assert len(basis) == ncols - fraction_rank(rows) == ncols - ech.rank
+        for vec in basis:
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
+def test_bracket_failures_lazy_in_pair_order(chained):
+    ps = build_prolonged(chained, [1, 0])
+    fields = [ps.g0] + ps.gi + [lie_bracket(ps.g0, ps.gi[0])]
+    pairs = list(itertools.combinations(fields, 2))
+    want = [(a, b, lie_bracket(a, b)) for a, b in pairs
+            if not lie_bracket(a, b).is_zero()]
+    assert list(bracket_failures(pairs, lambda v: False)) == want
+    assert list(bracket_failures(pairs, lambda v: True)) == []
+    probed = []
+    first = next(bracket_failures(pairs, lambda v: probed.append(v) or False))
+    assert first == want[0] and probed == [want[0][2]]
