@@ -67,17 +67,12 @@ def _seed(args) -> int:
 
 
 def _budgets(args) -> Budgets:
-    caps = {"samples": args.samples, "max_k": args.max_k,
-            "max_prolong": args.max_prolong, "ansatz_degree": args.ansatz_degree}
-    for name in ("samples", "ansatz_degree"):
-        if caps[name] is not None and caps[name] <= 0:
+    caps = {"samples": args.samples, "ansatz_degree": args.ansatz_degree,
+            "max_k": args.max_k, "max_prolong": args.max_prolong}
+    for name, value in caps.items():
+        if value is not None and value <= 0:
             raise DslError("%s must be positive" % name)
-    for name in ("max_k", "max_prolong"):
-        if caps[name] is not None and caps[name] <= 0:
-            raise DslError("%s must be positive" % name)
-    return Budgets(seed=_seed(args), samples=args.samples, max_k=args.max_k,
-                   max_prolong=args.max_prolong,
-                   ansatz_degree=args.ansatz_degree)
+    return Budgets(seed=_seed(args), **caps)
 
 
 def _parse_prolong(text: str, m: int) -> MultiIndex:

@@ -21,7 +21,7 @@ from .prolong import (ProlongedSystem, build_prolonged, delta_filtration,
                       delta_generators, g_filtration, g_level_fields,
                       g_stabilization, gamma_filtration)
 from .report import INF, AnalysisReport, InitTrace, SigmaStep
-from .sysdsl import SystemDef, _Parser, tokenize
+from .sysdsl import DslError, SystemDef, _Parser, tokenize
 
 
 class NotLinearizable(Exception):
@@ -154,7 +154,10 @@ def static_linearizable(sysdef: SystemDef, seed: int = 0, samples: int = 5,
 # ---------------------------------------------------------------------------
 # Brunovsky indices of a prolonged linearizable system
 
-def _check_linearizable(ps: ProlongedSystem):
+def brunovsky_indices(ps: ProlongedSystem) -> Tuple[int, ...]:
+    """Non-increasing controllability indices of the prolonged system;
+    NotLinearizable unless its G filtration is involutive up to
+    stabilization and reaches full dimension."""
     ranks, kstar = g_stabilization(ps)
     if ranks[-1] != ps.space.dim:
         raise NotLinearizable("G filtration stabilizes below full dimension")
@@ -162,47 +165,10 @@ def _check_linearizable(ps: ProlongedSystem):
         ok, _ = g_filtration(ps, k).is_involutive()
         if not ok:
             raise NotLinearizable("G_%d is not involutive" % k)
-    return ranks, kstar
-
-
-def brunovsky_indices(ps: ProlongedSystem) -> Tuple[int, ...]:
-    """Non-increasing controllability indices of the prolonged system."""
-    ranks, _ = _check_linearizable(ps)
     kappa = _kappa_from_ranks(ps.sysdef.m, ranks)
     if sum(kappa) != ps.space.dim:
         raise InternalError("Brunovsky indices do not sum to the dimension")
     return kappa
-
-def channel_indices(ps: ProlongedSystem) -> Tuple[int, ...]:
-    """Per-input-channel chain lengths, by greedy chain-basis selection."""
-    m = ps.sysdef.m
-    certificate = g_filtration(ps, 0).certificate
-    echelons = [PointEchelon(pt) for pt in certificate.points]
-    kappa = [0] * m
-    alive = list(range(1, m + 1))
-    k = 0
-    total = 0
-    while alive and total < ps.space.dim and k <= ps.space.dim:
-        level = g_level_fields(ps, k)
-        for p in list(alive):
-            f = level[p - 1]
-            grew = False
-            if not f.is_zero():
-                for ech in echelons:
-                    try:
-                        if ech.insert(f.eval_row(ech.point)):
-                            grew = True
-                    except DenominatorVanishes:
-                        continue
-            if grew:
-                kappa[p - 1] += 1
-                total += 1
-            else:
-                alive.remove(p)
-        k += 1
-    if total != ps.space.dim:
-        raise NotLinearizable("chain basis does not reach full dimension")
-    return tuple(kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +187,7 @@ class CnsResult:
 
 
 def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
-              ctx: Optional[Context] = None,
-              stop_on_violation: bool = True) -> CnsResult:
+              ctx: Optional[Context] = None) -> CnsResult:
     """Involutivity of Delta_k, invariance under Gamma_k, and the strong
     controllability rank condition, for all k up to stabilization; the
     G_k-involutivity route is computed independently as a cross-check."""
@@ -239,7 +204,6 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
     d_ranks: List[int] = []
     g_ranks: List[int] = []
     gam_ranks: List[int] = []
-    violation = None
     cross_ok = True
     k = 0
     kstar = None
@@ -250,18 +214,16 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
         gam_ranks.append(gamma_filtration(ps, k).rank)
         g_ranks.append(gdist.rank)
         inv_ok, inv_fails = ctx.delta_involutive(tuple(j), k)
-        if not inv_ok and violation is None:
-            violation = {"condition": "involutivity", "k": k,
-                         **_rendered(inv_fails[0])}
         gam_ok, gam_fails = ctx.gamma_invariant(tuple(j), k)
-        if not gam_ok and violation is None:
-            violation = {"condition": "gamma_invariance", "k": k,
-                         **_rendered(gam_fails[0])}
-        if violation is not None and stop_on_violation:
+        if not (inv_ok and gam_ok):
+            condition, fails = (("involutivity", inv_fails) if not inv_ok
+                                else ("gamma_invariance", gam_fails))
+            violation = {"condition": condition, "k": k,
+                         **_rendered(fails[0])}
             return CnsResult(False, violation, None, d_ranks, gam_ranks,
                              g_ranks, cross_ok, [])
         g_inv, _ = gdist.is_involutive()
-        if g_inv != (inv_ok and gam_ok):
+        if not g_inv:
             cross_ok = False
         if k > 0 and g_ranks[-1] == g_ranks[-2]:
             kstar = k - 1
@@ -269,16 +231,15 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
         k += 1
     if kstar is None:
         kstar = len(g_ranks) - 1
-    if violation is None:
-        if d_ranks[kstar] != n + m:
-            violation = {"condition": "full_rank", "k": kstar,
-                         "rank": d_ranks[kstar], "expected": n + m}
-        elif gam_ranks[kstar] != j.total:
-            violation = {"condition": "full_rank", "k": kstar,
-                         "rank": gam_ranks[kstar], "expected": j.total}
-    if violation is None and g_ranks[kstar] != full:
-        cross_ok = False
-    if violation is None:
+    if d_ranks[kstar] != n + m:
+        violation = {"condition": "full_rank", "k": kstar,
+                     "rank": d_ranks[kstar], "expected": n + m}
+    elif gam_ranks[kstar] != j.total:
+        violation = {"condition": "full_rank", "k": kstar,
+                     "rank": gam_ranks[kstar], "expected": j.total}
+    else:
+        if g_ranks[kstar] != full:
+            cross_ok = False
         violation = _certify_conditions(ps, kstar)
     factors: List[str] = []
     for dist in ps._dist_cache.values():
@@ -740,59 +701,56 @@ def _normalize_output(e: Expr) -> Expr:
 
 
 def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
-    """Bounded polynomial ansatz for the flat-output PDEs; None when the
-    ansatz space has no admissible combination."""
+    """Bounded polynomial ansatz for the flat-output PDEs, one chain per
+    Brunovsky index in the non-increasing order of the report; None when the
+    prolonged system is not static feedback linearizable or the ansatz space
+    has no admissible combination.
+
+    Each output annihilates the lower G levels and is nondegenerate at its
+    top level by construction, and the chain Jacobian has full rank at one
+    exact rational sample point, which proves full generic rank."""
     try:
-        chan = channel_indices(ps)
+        kappa = brunovsky_indices(ps)
     except NotLinearizable:
         return None
-    _check_linearizable(ps)
-    pools: Dict[int, List[Expr]] = {}
-    for kap in sorted(set(chan)):
-        pools[kap] = _nullspace_candidates(ps, kap, ansatz_degree)
-    cert = g_filtration(ps, 0).certificate
-    echelons = lambda: [PointEchelon(pt) for pt in cert.points]
+    pools = {kap: _nullspace_candidates(ps, kap, ansatz_degree)
+             for kap in set(kappa)}
 
     def nondegenerate(y: Expr, kap: int) -> bool:
         top = [g for g in g_level_fields(ps, kap - 1) if not g.is_zero()]
         return any(not g.apply(y).is_zero() for g in top)
 
-    # slots ordered by descending chain length (stable on channels), matching
-    # the reported Brunovsky vector
-    slots = sorted(enumerate(chan, start=1), key=lambda t: (-t[1], t[0]))
-    chosen: List[Optional[Expr]] = [None] * len(slots)
+    def grown(ech: PointEchelon, rows: List[VectorField]):
+        """A copy of ech with every row inserted, or None where one is
+        dependent or has a pole at the point."""
+        out = PointEchelon(ech.point)
+        out.rows = list(ech.rows)
+        try:
+            if all(out.insert(r.eval_row(out.point)) for r in rows):
+                return out
+        except DenominatorVanishes:
+            pass
+        return None
 
-    def backtrack(idx: int, echs) -> bool:
-        if idx == len(slots):
-            return True
-        _, kap = slots[idx]
+    def backtrack(idx: int, echs: List[PointEchelon]):
+        # echs: the sample points at which the chains chosen so far are
+        # independent, with their echelons
+        if idx == len(kappa):
+            return []
+        kap = kappa[idx]
         for cand in pools[kap]:
             if not nondegenerate(cand, kap):
                 continue
             rows = [_gradient_field(ps, phi) for phi in _chain(ps, cand, kap)]
-            snapshot = [(list(e.rows)) for e in echs]
-            ok = True
-            for ech in echs:
-                try:
-                    if not all(ech.insert(r.eval_row(ech.point)) for r in rows):
-                        ok = False
-                        break
-                except DenominatorVanishes:
-                    ok = False
-                    break
-            if ok:
-                chosen[idx] = cand
-                if backtrack(idx + 1, echs):
-                    return True
-            for ech, rows_snap in zip(echs, snapshot):
-                ech.rows = rows_snap
-        return False
-
-    if not backtrack(0, echelons()):
+            alive = [e for e in (grown(ech, rows) for ech in echs)
+                     if e is not None]
+            rest = backtrack(idx + 1, alive) if alive else None
+            if rest is not None:
+                return [cand] + rest
         return None
-    outputs = [c for c in chosen]
-    ok, _ = verify_flat_output(ps, outputs)
-    return outputs if ok else None
+
+    points = g_filtration(ps, 0).certificate.points
+    return backtrack(0, [PointEchelon(pt) for pt in points])
 
 
 # ---------------------------------------------------------------------------
@@ -805,34 +763,25 @@ def analyze(sysdef: SystemDef, budgets: Optional[Budgets] = None) -> AnalysisRep
     static = static_linearizable(sysdef, ctx=ctx)
 
     if static.linearizable:
-        return _flat_report(ctx, MultiIndex((0,) * m), [], [],
+        j0 = MultiIndex((0,) * m)
+        return _flat_report(ctx, j0, cns_check(sysdef, j0, ctx=ctx), [], [],
                             note="static feedback linearizable")
     if m == 1:
-        return AnalysisReport(
-            verdict="not_p2_flat", j_min=None, input_permutation=None,
-            k_star=None, kappa=None, flat_outputs=None, sigma_trace=[],
-            singular_locus=[], seed=budgets.seed,
-            witness={"reason": "single-input system is P2-flat only if static "
-                               "feedback linearizable"},
-            initializations=[], system=sysdef.name, warnings=ctx.warnings)
+        return _not_flat_report(
+            ctx, "not_p2_flat",
+            {"reason": "single-input system is P2-flat only if static "
+                       "feedback linearizable"})
     if static.all_involutive:
-        return AnalysisReport(
-            verdict="not_p2_flat", j_min=None, input_permutation=None,
-            k_star=None, kappa=None, flat_outputs=None, sigma_trace=[],
-            singular_locus=[], seed=budgets.seed,
-            witness={"reason": "strong controllability fails for every "
-                               "prolongation (all G_k^(0) involutive, max rank "
-                               "%d < %d)" % (static.max_rank, n + m)},
-            initializations=[], system=sysdef.name, warnings=ctx.warnings)
+        return _not_flat_report(
+            ctx, "not_p2_flat",
+            {"reason": "strong controllability fails for every prolongation "
+                       "(all G_k^(0) involutive, max rank %d < %d)"
+                       % (static.max_rank, n + m)})
 
     inits = enumerate_initializations(ctx)
     if not inits:
-        return AnalysisReport(
-            verdict="not_p2_flat", j_min=None, input_permutation=None,
-            k_star=None, kappa=None, flat_outputs=None, sigma_trace=[],
-            singular_locus=[], seed=budgets.seed,
-            witness={"reason": "no involutive initialization exists"},
-            initializations=[], system=sysdef.name, warnings=ctx.warnings)
+        return _not_flat_report(
+            ctx, "not_p2_flat", {"reason": "no involutive initialization exists"})
 
     runs: List[SigmaRun] = []
     best: Optional[Tuple[Tuple[int, ...], SigmaRun]] = None
@@ -863,21 +812,16 @@ def analyze(sysdef: SystemDef, budgets: Optional[Budgets] = None) -> AnalysisRep
             break
         res = cns_check(sysdef, jf, ctx=ctx)
         if res.ok:
-            return _flat_report(ctx, MultiIndex(jf), runs, run.steps)
+            return _flat_report(ctx, MultiIndex(jf), res, runs, run.steps)
         ctx.warnings.append("candidate %s failed re-verification (%s)"
                             % (jf, res.violation))
 
     budget_hit = [r for r in runs if r.outcome == "budget"]
     if budget_hit:
-        return AnalysisReport(
-            verdict="inconclusive", j_min=None, input_permutation=None,
-            k_star=None, kappa=None, flat_outputs=None,
-            sigma_trace=budget_hit[0].steps, singular_locus=[],
-            seed=budgets.seed,
-            witness={"reason": "budget exhausted",
-                     "flag": budget_hit[0].failure_note},
-            initializations=[r.trace() for r in runs], system=sysdef.name,
-            warnings=ctx.warnings)
+        return _not_flat_report(
+            ctx, "inconclusive", {"reason": "budget exhausted",
+                                  "flag": budget_hit[0].failure_note},
+            runs, budget_hit[0].steps)
 
     witness = {"reason": "every initialization fails the theorem conditions",
                "per_initialization": [
@@ -887,31 +831,38 @@ def analyze(sysdef: SystemDef, budgets: Optional[Budgets] = None) -> AnalysisRep
                     "k": r.failure_k,
                     "note": r.failure_note,
                     "witnesses": r.witnesses} for r in runs]}
-    return AnalysisReport(
-        verdict="not_p2_flat", j_min=None, input_permutation=None,
-        k_star=None, kappa=None, flat_outputs=None,
-        sigma_trace=runs[0].steps if runs else [], singular_locus=[],
-        seed=budgets.seed, witness=witness,
-        initializations=[r.trace() for r in runs], system=sysdef.name,
-        warnings=ctx.warnings)
+    return _not_flat_report(ctx, "not_p2_flat", witness, runs, runs[0].steps)
 
 
 def _candidate_order(jf: Tuple[int, ...]):
     return (sum(jf), tuple(jf))
 
 
-def _flat_report(ctx: Context, j: MultiIndex, runs: List[SigmaRun],
-                 steps: List[SigmaStep], note: Optional[str] = None) -> AnalysisReport:
+def _not_flat_report(ctx: Context, verdict: str, witness: dict,
+                     runs: Sequence[SigmaRun] = (),
+                     steps: Sequence[SigmaStep] = ()) -> AnalysisReport:
+    return AnalysisReport(
+        verdict=verdict, j_min=None, input_permutation=None, k_star=None,
+        kappa=None, flat_outputs=None, sigma_trace=list(steps),
+        singular_locus=[], seed=ctx.budgets.seed, witness=witness,
+        initializations=[r.trace() for r in runs], system=ctx.sysdef.name,
+        warnings=ctx.warnings)
+
+
+def _flat_report(ctx: Context, j: MultiIndex, res: CnsResult,
+                 runs: List[SigmaRun], steps: List[SigmaStep],
+                 note: Optional[str] = None) -> AnalysisReport:
+    """The p2_flat report at j from its passing `cns_check` result. The one
+    `verify_flat_output` of the searched outputs gates `flat_outputs` and
+    adds the chain-Jacobian factors to the singular locus."""
     sysdef = ctx.sysdef
-    n, m = sysdef.n, sysdef.m
-    res = cns_check(sysdef, j, ctx=ctx)
     if not res.ok:
         raise InternalError("verified candidate failed the theorem check")
     if not res.cross_check_agrees:
         ctx.warnings.append("Prop. 4.1 cross-check disagreed with the "
                             "Delta/Gamma conditions")
     ps = ctx.ps(tuple(j))
-    ranks, k_star = g_stabilization(ps)
+    _, k_star = g_stabilization(ps)
     kappa = brunovsky_indices(ps)
     _audit_bounds(sysdef, j, k_star, kappa, res)
     outputs = search_flat_outputs(ps, ctx.budgets.ansatz_degree)
@@ -943,7 +894,7 @@ def _flag_base_point(ctx: Context, ps: ProlongedSystem, factors: List[str]):
     for s in factors:
         try:
             val = _eval_factor_string(ctx.sysdef, s, base)
-        except Exception:
+        except DslError:
             continue
         if val == 0:
             ctx.warnings.append("singular factor %s vanishes at the base point" % s)

@@ -56,10 +56,6 @@ class MultiIndex(tuple):
     def total(self) -> int:
         return sum(self)
 
-    def dominates(self, other) -> bool:
-        other = _broadcast(other, len(self))
-        return all(a >= b for a, b in zip(self, other))
-
     def sorted_permutation(self) -> Tuple["MultiIndex", Tuple[int, ...]]:
         """(sorted copy, perm) with perm[p] = original 0-based channel at sorted
         position p; stable on ties."""
@@ -572,8 +568,7 @@ class Distribution:
 
     def __init__(self, space: JetSpace, generators: Sequence[VectorField],
                  seed: int = 0, samples: int = 5,
-                 base_point: Optional[Dict[VarRef, Fraction]] = None,
-                 symbolic: Optional[bool] = None):
+                 base_point: Optional[Dict[VarRef, Fraction]] = None):
         gens = []
         for g in generators:
             if g.space != space:
@@ -585,14 +580,11 @@ class Distribution:
         self.seed = seed
         self.samples = samples
         self.certificate = generic_rank(gens, space, seed=seed, samples=samples,
-                                        base_point=base_point, symbolic=symbolic)
+                                        base_point=base_point)
         self._echelons: Optional[List[PointEchelon]] = None
 
     @property
     def rank(self) -> int:
-        return self.certificate.rank
-
-    def generic_rank(self) -> int:
         return self.certificate.rank
 
     def _top_echelons(self) -> List[PointEchelon]:

@@ -6,7 +6,7 @@ import pytest
 from flatcheck.expr import Expr, render_expr
 from flatcheck.flatness import (Budgets, CandidateCountMismatch, Context,
                                 Initialization, NotLinearizable, SigmaRun,
-                                analyze, brunovsky_indices, channel_indices,
+                                analyze, brunovsky_indices,
                                 cns_check, search_flat_outputs, sigma_delta,
                                 sigma_gamma_delta, static_linearizable,
                                 verify_flat_output)
@@ -186,6 +186,21 @@ def test_search_threeinput_multiset(threeinput):
     assert ok
 
 
+def test_search_survives_a_singular_sample_point(driftless, threeinput, clm,
+                                                 chained):
+    # a random sample point on the singular locus (u1 = 0, ...) must not
+    # null the search: full rank at any one exact point proves generic rank
+    cases = [(driftless, (2, 0)), (threeinput, (1, 0, 0)), (clm, (0, 3)),
+             (chained, (4, 0))]
+    for sysdef, j in cases:
+        for seed in range(11):
+            ps = build_prolonged(sysdef, j, seed=seed)
+            found = search_flat_outputs(ps, 2)
+            assert found is not None, (sysdef.name, seed)
+            ok, _ = verify_flat_output(ps, found)
+            assert ok, (sysdef.name, seed)
+
+
 def test_search_linear_chain_coordinate_output():
     di = double_integrator()
     ps = build_prolonged(di, [0])
@@ -310,15 +325,6 @@ def test_analyze_rank_deficient_lemma_case():
     assert "strong controllability" in rep.witness["reason"]
 
 
-def test_channel_indices_match_brunovsky_multiset(clm, threeinput):
-    ps = build_prolonged(clm, [0, 3])
-    assert sorted(channel_indices(ps), reverse=True) == \
-        list(brunovsky_indices(ps))
-    ps3 = build_prolonged(threeinput, [1, 0, 0])
-    assert sorted(channel_indices(ps3), reverse=True) == \
-        list(brunovsky_indices(ps3))
-
-
 def test_pendulum_witnesses_cover_both_initializations(reports):
     rep = reports["pendulum"]
     per = rep.witness["per_initialization"]
@@ -354,6 +360,18 @@ def test_base_point_override_clears_derivative_flag(chained):
     rep = analyze(moved, Budgets(seed=0))
     assert rep.verdict == "p2_flat" and rep.j_min == (4, 0)
     assert not any("u1_2 vanishes" in w for w in rep.warnings)
+
+
+def test_base_point_flags_skip_the_tan_half_factor():
+    # the singular locus names the internal tan-half parameter
+    # (tanhalf_x2^2 - 1), which the base-point check cannot parse and skips;
+    # every other factor is checked
+    rep = analyze(parse_system("system th\nstate x1 x2\ninput u1\n"
+                               "dot x1 = sin(x2)\ndot x2 = u1\n"))
+    assert rep.verdict == "p2_flat"
+    flags = [w for w in rep.warnings if w.startswith("singular factor")]
+    assert flags == ["singular factor sin(x2) vanishes at the base point",
+                     "singular factor u1 vanishes at the base point"]
 
 
 def _coupled_system(rng):
