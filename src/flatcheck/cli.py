@@ -20,6 +20,7 @@ EXIT_NOT_FLAT = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70      # sysexits EX_SOFTWARE: a library error, never a verdict
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout closed early, never a verdict
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,15 +209,18 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0,) else 0
+    command = {"analyze": cmd_analyze, "verify": cmd_verify,
+               "bracket": cmd_bracket, "lint": cmd_lint}[args.command]
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "bracket":
-            return cmd_bracket(args)
-        if args.command == "lint":
-            return cmd_lint(args)
+        status = command(args)
+        sys.stdout.flush()      # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so the interpreter's
+        # flush at exit stays quiet, and exit with no verdict
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except DslError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
@@ -224,7 +228,7 @@ def main(argv=None) -> int:
         print("internal error: %s: %s" % (type(err).__name__, err),
               file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_USAGE
+    return status
 
 
 if __name__ == "__main__":

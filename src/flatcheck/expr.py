@@ -54,10 +54,16 @@ class VarRef:
     trig: int = PLAIN
     label: str = field(default="", compare=False, repr=False)
     skey: tuple = field(default=None, init=False, compare=False, repr=False)
+    _hash: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "skey",
-                           (self.kind, self.i, self.k, self.name, self.trig))
+        skey = (self.kind, self.i, self.k, self.name, self.trig)
+        object.__setattr__(self, "skey", skey)
+        # the hash the generated __hash__ would give, computed once
+        object.__setattr__(self, "_hash", hash(skey))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return self.skey

@@ -82,13 +82,18 @@ class JetSpace:
     coords: Tuple[VarRef, ...]
     params: Tuple[VarRef, ...] = ()
     trig_bases: Tuple[VarRef, ...] = ()
+    _cols: Dict[VarRef, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_cols",
+                           {v: c for c, v in enumerate(self.coords)})
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
     def col(self, v: VarRef) -> int:
-        return self.coords.index(v)
+        return self._cols[v]
 
     def state_coords(self) -> Tuple[VarRef, ...]:
         return self.coords[: self.n]
@@ -263,10 +268,7 @@ def is_vertical(v: VectorField, depends_at_most: MultiIndex) -> bool:
 # Rank machinery
 
 def fraction_rank(rows: List[List[Fraction]]) -> int:
-    ech = PointEchelon()
-    for row in rows:
-        ech.insert(row)
-    return ech.rank
+    return PointEchelon.of(rows).rank
 
 
 class PointEchelon:
@@ -276,6 +278,14 @@ class PointEchelon:
     def __init__(self, point: Optional[Dict[VarRef, Fraction]] = None):
         self.point = point
         self.rows: List[Tuple[int, List[Fraction]]] = []   # (pivot col, row)
+
+    @classmethod
+    def of(cls, rows: Iterable[List[Fraction]],
+           point: Optional[Dict[VarRef, Fraction]] = None) -> "PointEchelon":
+        ech = cls(point)
+        for row in rows:
+            ech.insert(row)
+        return ech
 
     def residual(self, row: List[Fraction]) -> Optional[List[Fraction]]:
         for pc, prow in self.rows:
@@ -384,7 +394,8 @@ class RankCertificate:
     sampled_rank: int
     symbolic_rank: Optional[int]
     points: List[Dict[VarRef, Fraction]]
-    point_ranks: List[int]
+    # the echelon of the generator rows at each of `points`, in order
+    echelons: List[PointEchelon]
     factors: List[Poly] = field(default_factory=list)
     base_point_rank: Optional[int] = None
     base_point_drop: bool = False
@@ -523,7 +534,7 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
         return RankCertificate(0, 0, 0, [], [], seed=seed)
     rng = random.Random(_stable_seed(seed, fields))
     points: List[Dict[VarRef, Fraction]] = []
-    ranks: List[int] = []
+    echelons: List[PointEchelon] = []
     for _ in range(samples):
         for attempt in range(60):
             pt = space.sample_point(rng)
@@ -532,11 +543,11 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
             except DenominatorVanishes:
                 continue
             points.append(pt)
-            ranks.append(fraction_rank(rows))
+            echelons.append(PointEchelon.of(rows, pt))
             break
         else:
             raise SamplingExhausted("could not sample a denominator-avoiding point")
-    sampled = max(ranks)
+    sampled = max(ech.rank for ech in echelons)
     sym_rank = None
     factors: List[Poly] = []
     if symbolic is None:
@@ -544,7 +555,7 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
     if symbolic:
         sym_rank, factors = symbolic_rank(fields, space)
     rank = sym_rank if sym_rank is not None else sampled
-    cert = RankCertificate(rank, sampled, sym_rank, points, ranks,
+    cert = RankCertificate(rank, sampled, sym_rank, points, echelons,
                            factors=factors, seed=seed)
     if base_point is not None:
         bp = dict(base_point)
@@ -581,23 +592,15 @@ class Distribution:
         self.samples = samples
         self.certificate = generic_rank(gens, space, seed=seed, samples=samples,
                                         base_point=base_point)
-        self._echelons: Optional[List[PointEchelon]] = None
+        best = self.certificate.sampled_rank
+        # membership probes reduce against the echelons of the top-rank points
+        self._echelons = [ech for ech in self.certificate.echelons
+                          if ech.rank == best]
+        self._involutive: Optional[tuple] = None
 
     @property
     def rank(self) -> int:
         return self.certificate.rank
-
-    def _top_echelons(self) -> List[PointEchelon]:
-        if self._echelons is None:
-            best = self.certificate.sampled_rank
-            self._echelons = []
-            for pt, rk in zip(self.certificate.points, self.certificate.point_ranks):
-                if rk == best:
-                    ech = PointEchelon(pt)
-                    for g in self.generators:
-                        ech.insert(g.eval_row(pt))
-                    self._echelons.append(ech)
-        return self._echelons
 
     def contains(self, v: VectorField) -> bool:
         """True iff adjoining v does not raise the generic rank."""
@@ -608,7 +611,7 @@ class Distribution:
         if not self.generators:
             return False
         probed = False
-        for ech in self._top_echelons():
+        for ech in self._echelons:
             try:
                 row = v.eval_row(ech.point)
             except DenominatorVanishes:
@@ -636,10 +639,13 @@ class Distribution:
 
     def is_involutive(self):
         """(True, None) or (False, (g_a, g_b, [g_a, g_b])) with the first
-        failing pair in deterministic generator order."""
-        fail = next(bracket_failures(
-            itertools.combinations(self.generators, 2), self.contains), None)
-        return fail is None, fail
+        failing pair in deterministic generator order; memoized."""
+        if self._involutive is None:
+            fail = next(bracket_failures(
+                itertools.combinations(self.generators, 2), self.contains),
+                None)
+            self._involutive = (fail is None, fail)
+        return self._involutive
 
     def involutive_closure(self, max_iter: Optional[int] = None) -> "Distribution":
         budget = max_iter if max_iter is not None \
@@ -660,6 +666,37 @@ class Distribution:
             if current.rank >= self.space.dim:
                 return current
         raise IterationBudgetExceeded("involutive closure did not stabilize")
+
+
+class CoordinateSpan:
+    """The span of the coordinate fields d/dc, c in `coords`: rank and
+    membership are exact, so nothing is sampled.  Offers the read side of
+    `Distribution`: generators, rank, certificate, membership, involutivity."""
+
+    def __init__(self, space: JetSpace, coords: Iterable[VarRef]):
+        coords = list(dict.fromkeys(coords))
+        self.space = space
+        self.coords = frozenset(coords)
+        self.generators: List[VectorField] = [unit_field(space, c)
+                                              for c in coords]
+        rank = len(coords)
+        self.certificate = RankCertificate(rank, rank, rank, [], [],
+                                           base_point_rank=rank)
+
+    @property
+    def rank(self) -> int:
+        return self.certificate.rank
+
+    def contains(self, v: VectorField) -> bool:
+        """True iff every component of v lies on a spanning coordinate."""
+        if v.is_zero():
+            return True
+        if v.space != self.space:
+            raise SpaceMismatch("field on the wrong jet space")
+        return self.coords.issuperset(v.coeffs)
+
+    def is_involutive(self):
+        return True, None        # coordinate fields commute
 
 
 def bracket_failures(pairs: Iterable[Tuple[VectorField, VectorField]],

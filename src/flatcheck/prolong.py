@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .expr import Expr, VarRef
-from .jetgeom import (Distribution, JetSpace, MultiIndex, VectorField, ad_pow,
-                      lie_bracket, unit_field)
+from .jetgeom import (CoordinateSpan, Distribution, JetSpace, MultiIndex,
+                      VectorField, ad_pow, lie_bracket, unit_field)
 from .sysdsl import SystemDef
 
 
@@ -104,13 +104,12 @@ def g_filtration(ps: ProlongedSystem, k: int) -> Distribution:
     return ps._distribution(("G", k), gens)
 
 
-def gamma_filtration(ps: ProlongedSystem, k: int) -> Distribution:
-    gens: List[VectorField] = []
-    for p in range(1, ps.sysdef.m + 1):
-        jp = ps.j[p - 1]
-        for l in range(0, min(k, jp - 1) + 1):
-            gens.append(unit_field(ps.space, ps.sysdef.input(p, jp - l)))
-    return ps._distribution(("Gamma", k), gens)
+def gamma_filtration(ps: ProlongedSystem, k: int) -> CoordinateSpan:
+    """Gamma_k = span d/du_p^(j_p - l), l <= min(k, j_p - 1): exact, so
+    nothing is sampled or cached."""
+    return CoordinateSpan(ps.space, [ps.sysdef.input(p, jp - l)
+                                     for p, jp in enumerate(ps.j, start=1)
+                                     for l in range(0, min(k, jp - 1) + 1)])
 
 
 def delta_generators(ps: ProlongedSystem, k: int) -> List[VectorField]:

@@ -159,3 +159,23 @@ def test_verify_all_flat_fixtures_end_to_end():
 def test_prolong_flag_length_checked():
     p = run_cli("verify", str(FIXTURES / "chained.flt"), "--prolong", "1,2,3")
     assert p.returncode == 64
+
+
+def test_closed_pipe_is_not_a_verdict():
+    # the read end is closed before the child starts, so its report write
+    # fails: no traceback, and exit 141 (128 + SIGPIPE), which no verdict uses
+    import os
+    env = dict(os.environ, PYTHONPATH=str(PKG / "src"))
+    env.pop("FLATCHECK_SEED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatcheck", "analyze",
+             str(FIXTURES / "driftless.flt"), "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err

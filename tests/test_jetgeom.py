@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatcheck.expr import Expr
+from flatcheck.expr import Expr, state_var
 from flatcheck.jetgeom import (Distribution, MultiIndex, PointEchelon,
                                SpaceMismatch, VectorField, ad_pow,
                                bracket_failures, fraction_rank, is_vertical,
@@ -217,3 +217,62 @@ def test_bracket_failures_lazy_in_pair_order(chained):
     probed = []
     first = next(bracket_failures(pairs, lambda v: probed.append(v) or False))
     assert first == want[0] and probed == [want[0][2]]
+
+
+def test_membership_reuses_the_rank_sampling_echelons(chained, monkeypatch):
+    # generic_rank evaluates each generator once per sample point; membership
+    # probes evaluate only the probed field, against those same echelons
+    calls = []
+    orig = VectorField.eval_row
+
+    def counted(self, point):
+        calls.append(self)
+        return orig(self, point)
+
+    monkeypatch.setattr(VectorField, "eval_row", counted)
+    ps = build_prolonged(chained, [1, 0])
+    gens = [ps.g0] + ps.gi
+    dist = Distribution(ps.space, gens, samples=4)
+    assert len(calls) == 4 * len(gens)
+    cert = dist.certificate
+    assert [e.point for e in cert.echelons] == cert.points
+    assert max(e.rank for e in cert.echelons) == cert.sampled_rank
+    for ech in cert.echelons:
+        fresh = PointEchelon.of([orig(g, ech.point) for g in gens])
+        assert ech.rows == fresh.rows
+    top = [e for e in cert.echelons if e.rank == cert.sampled_rank]
+    del calls[:]
+    probe = ps.g0 + ps.gi[0]     # members: every top echelon is probed
+    assert dist.contains(probe) and dist.contains(ps.gi[1])
+    assert calls == [probe] * len(top) + [ps.gi[1]] * len(top)
+
+
+def test_is_involutive_is_memoized(chained, monkeypatch):
+    from flatcheck import jetgeom
+    ps = build_prolonged(chained, [0, 0])
+    dist = g_filtration(ps, 1)
+    brackets = []
+    orig = jetgeom.lie_bracket
+
+    def counted(v, w):
+        brackets.append((v, w))
+        return orig(v, w)
+
+    monkeypatch.setattr(jetgeom, "lie_bracket", counted)
+    first = dist.is_involutive()
+    swept = len(brackets)
+    assert swept > 0 and not first[0]
+    assert dist.is_involutive() is first
+    assert len(brackets) == swept
+
+
+def test_jet_space_columns_and_var_hash(chained):
+    ps = build_prolonged(chained, [2, 1])
+    for c, v in enumerate(ps.space.coords):
+        assert ps.space.col(v) == c
+        assert hash(v) == hash(v.skey)
+    with pytest.raises(KeyError):
+        ps.space.col(chained.input(1, 3))
+    relabeled = state_var(1, "other")
+    assert relabeled == chained.state(1)
+    assert hash(relabeled) == hash(chained.state(1))

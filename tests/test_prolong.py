@@ -1,14 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from flatcheck.expr import Expr
-from flatcheck.jetgeom import MultiIndex, ad_pow, lie_bracket, unit_field
+from flatcheck.jetgeom import (MultiIndex, VectorField, ad_pow, lie_bracket,
+                               unit_field)
 from flatcheck.prolong import (DomainError, PreconditionNotMet,
                                bracket_comparison_check, build_prolonged,
                                decomposition_check, delta_filtration,
                                g_filtration, g_stabilization, gamma_field,
-                               gamma_filtration, gamma_sequence, lift_field)
+                               gamma_filtration, gamma_rank_formula,
+                               gamma_sequence, lift_field)
 from flatcheck.sysdsl import SystemDef
 
 from conftest import random_system
@@ -54,6 +57,34 @@ def test_build_prolonged_adds_integrator_chain(chained):
 
 
 # -- Gamma --------------------------------------------------------------------
+
+def test_gamma_is_an_exact_coordinate_span(chained, driftless, clm, pendulum,
+                                           threeinput):
+    # rank and membership come from the coordinates alone: no sample points
+    for sysdef in (chained, driftless, clm, pendulum, threeinput):
+        for j in itertools.product(range(0, 4), repeat=sysdef.m):
+            ps = build_prolonged(sysdef, j)
+            for k in range(0, 5):
+                gam = gamma_filtration(ps, k)
+                assert gam.rank == gamma_rank_formula(ps.j, k), (j, k)
+                assert gam.certificate.points == []
+                assert len(gam.generators) == gam.rank
+
+
+def test_gamma_membership_is_a_support_test(chained):
+    ps = build_prolonged(chained, [4, 0])
+    gam = gamma_filtration(ps, 1)             # d/du1^(4), d/du1^(3)
+    u13, u14 = chained.input(1, 3), chained.input(1, 4)
+    x1 = Expr.var(chained.state(1))
+    inside = VectorField(ps.space, {u13: x1 * x1 + Expr.one(),
+                                    u14: Expr.var(u13) / (x1 + Expr.one())})
+    assert gam.contains(inside)
+    assert gam.contains(VectorField(ps.space, {}))
+    for outside in (chained.input(1, 2), chained.input(2, 0), chained.state(3)):
+        assert not gam.contains(
+            VectorField(ps.space, {**inside.coeffs, outside: x1}))
+        assert not gam.contains(unit_field(ps.space, outside))
+
 
 def test_gamma_filtration_examples(chained):
     ps = build_prolonged(chained, [4, 0])
