@@ -134,9 +134,9 @@ def _print_text_report(rep: AnalysisReport, trace: bool):
 
 def cmd_analyze(args) -> int:
     sysdef = _load(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = analyze(sysdef, _budgets(args))
-    elapsed = (time.time() - t0) * 1000.0
+    elapsed = (time.perf_counter() - t0) * 1000.0
     if args.json:
         sys.stdout.write(emit_report(rep))
     else:

@@ -16,10 +16,10 @@ from .expr import (DenominatorVanishes, Expr, VarRef, cos_var, mono_cmp,
                    render_poly, sin_var)
 from .jetgeom import (Distribution, MultiIndex, PointEchelon, VectorField,
                       _factor_polys, accumulate_factors, bracket_failures,
-                      generic_rank, lie_bracket)
+                      generic_rank, lie_bracket, unit_field)
 from .prolong import (ProlongedSystem, build_prolonged, delta_filtration,
                       delta_generators, g_filtration, g_level_fields,
-                      g_stabilization, gamma_filtration)
+                      g_stabilization, gamma_coordinates, gamma_filtration)
 from .report import INF, AnalysisReport, InitTrace, SigmaStep
 from .sysdsl import DslError, SystemDef, _Parser, tokenize
 
@@ -64,6 +64,7 @@ class Context:
         self._ps: Dict[Tuple[int, ...], ProlongedSystem] = {}
         self._inv: Dict[Tuple[Tuple[int, ...], int], Tuple[bool, list]] = {}
         self._gam: Dict[Tuple[Tuple[int, ...], int], Tuple[bool, list]] = {}
+        self._gam_coord: Dict[Tuple[Tuple[int, ...], int, VarRef], list] = {}
         self.warnings: List[str] = []
 
     def ps(self, j) -> ProlongedSystem:
@@ -94,18 +95,30 @@ class Context:
         self._inv[key] = (not fails, fails)
         return self._inv[key]
 
-    # [Gamma_k, Delta_k] c Delta_k, incremental in k per j
+    # [Gamma_k, Delta_k] c Delta_k, one bracket sweep per Gamma coordinate
     def gamma_invariant(self, j: Tuple[int, ...], k: int):
+        """Checked on the (k+1)-capped prolongation, and exactly so: Delta_k^(j)
+        has the generators of Delta_k^(min(j, k+1)), since channel p enters
+        iff j_p <= k and ad_{g0}^r d/du_p^(0), r <= k, involves only u_q^(s)
+        with s < k; so [d/dc, V] = dV/dc vanishes for every Gamma coordinate c
+        of order >= k.  Failures keep the order channel, l, generator."""
         key = (j, k)
-        if key in self._gam:
-            return self._gam[key]
-        ps = self.ps(j)
-        dist = delta_filtration(ps, k)
-        pairs = itertools.product(gamma_filtration(ps, k).generators,
-                                  dist.generators)
-        fails = list(bracket_failures(pairs, dist.contains))
-        self._gam[key] = (not fails, fails)
+        if key not in self._gam:
+            capped = _cap(j, k + 1)
+            fails = [f for c in gamma_coordinates(self.sysdef, j, k) if c.k < k
+                     for f in self._gamma_failures(capped, k, c)]
+            self._gam[key] = (not fails, fails)
         return self._gam[key]
+
+    def _gamma_failures(self, j: Tuple[int, ...], k: int, c: VarRef) -> list:
+        key = (j, k, c)
+        if key not in self._gam_coord:
+            ps = self.ps(j)
+            dist = delta_filtration(ps, k)
+            self._gam_coord[key] = list(bracket_failures(
+                ((unit_field(ps.space, c), g) for g in dist.generators),
+                dist.contains))
+        return self._gam_coord[key]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +384,7 @@ class SigmaRun:
         return ok
 
     def _gamma_ok(self, assign: Tuple[int, ...], k: int) -> bool:
-        capped = _cap(assign, max(2 * k, 1))
-        ok, _ = self.ctx.gamma_invariant(_embed(self.init, self.m, capped), k)
+        ok, _ = self.ctx.gamma_invariant(_embed(self.init, self.m, assign), k)
         return ok
 
     def _survivors(self, box: int, upto_k: int) -> List[Tuple[int, ...]]:

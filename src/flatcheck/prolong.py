@@ -104,12 +104,16 @@ def g_filtration(ps: ProlongedSystem, k: int) -> Distribution:
     return ps._distribution(("G", k), gens)
 
 
+def gamma_coordinates(sysdef: SystemDef, j, k: int) -> List[VarRef]:
+    """The coordinates u_p^(j_p - l), l <= min(k, j_p - 1), whose fields span
+    Gamma_k^(j); by channel p, then by l."""
+    return [sysdef.input(p, jp - l) for p, jp in enumerate(j, start=1)
+            for l in range(0, min(k, jp - 1) + 1)]
+
+
 def gamma_filtration(ps: ProlongedSystem, k: int) -> CoordinateSpan:
-    """Gamma_k = span d/du_p^(j_p - l), l <= min(k, j_p - 1): exact, so
-    nothing is sampled or cached."""
-    return CoordinateSpan(ps.space, [ps.sysdef.input(p, jp - l)
-                                     for p, jp in enumerate(ps.j, start=1)
-                                     for l in range(0, min(k, jp - 1) + 1)])
+    """Gamma_k as an exact coordinate span: nothing is sampled or cached."""
+    return CoordinateSpan(ps.space, gamma_coordinates(ps.sysdef, ps.j, k))
 
 
 def delta_generators(ps: ProlongedSystem, k: int) -> List[VectorField]:

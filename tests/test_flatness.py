@@ -6,12 +6,13 @@ import pytest
 from flatcheck.expr import Expr, render_expr
 from flatcheck.flatness import (Budgets, CandidateCountMismatch, Context,
                                 Initialization, NotLinearizable, SigmaRun,
-                                analyze, brunovsky_indices,
+                                _rendered, analyze, brunovsky_indices,
                                 cns_check, search_flat_outputs, sigma_delta,
                                 sigma_gamma_delta, static_linearizable,
                                 verify_flat_output)
-from flatcheck.jetgeom import MultiIndex
-from flatcheck.prolong import build_prolonged
+from flatcheck.jetgeom import MultiIndex, bracket_failures
+from flatcheck.prolong import (build_prolonged, delta_filtration,
+                               gamma_filtration)
 from flatcheck.report import INF
 from flatcheck.sysdsl import parse_system
 
@@ -86,6 +87,31 @@ def test_cns_driftless_rejects_one(driftless):
 def test_cns_requires_zero_component(chained):
     with pytest.raises(ValueError):
         cns_check(chained, [4, 1])
+
+
+# -- Gamma invariance -----------------------------------------------------------
+
+def test_gamma_invariant_matches_the_full_sweep_on_ps_j(chained, driftless, clm,
+                                                        pendulum, threeinput):
+    # the former definition: every Gamma_k x Delta_k bracket on ps(j) itself
+    for sysdef in (chained, driftless, clm, pendulum, threeinput):
+        old = Context(sysdef, Budgets())
+        for k in range(1, 4):
+            for j in itertools.product(range(0, 2 * k + 2), repeat=sysdef.m):
+                ps = old.ps(j)
+                dist = delta_filtration(ps, k)
+                want = [_rendered(f) for f in bracket_failures(
+                    itertools.product(gamma_filtration(ps, k).generators,
+                                      dist.generators), dist.contains)]
+                new = Context(sysdef, Budgets())
+                ok, fails = new.gamma_invariant(j, k)
+                assert ok == (not want), (sysdef.name, j, k)
+                assert [_rendered(f) for f in fails] == want, (sysdef.name, j, k)
+                # the one prolonged system it may build is the (k+1)-capped one
+                assert set(new._ps) <= {tuple(min(jp, k + 1) for jp in j)}
+                if k == 1:
+                    # no Gamma_1 coordinate has order < 1
+                    assert (ok, fails) == (True, [])
 
 
 # -- sigma values ---------------------------------------------------------------

@@ -9,7 +9,8 @@ from flatcheck.jetgeom import (MultiIndex, VectorField, ad_pow, lie_bracket,
 from flatcheck.prolong import (DomainError, PreconditionNotMet,
                                bracket_comparison_check, build_prolonged,
                                decomposition_check, delta_filtration,
-                               g_filtration, g_stabilization, gamma_field,
+                               delta_generators, g_filtration, g_stabilization,
+                               gamma_coordinates, gamma_field,
                                gamma_filtration, gamma_rank_formula,
                                gamma_sequence, lift_field)
 from flatcheck.sysdsl import SystemDef
@@ -181,6 +182,32 @@ def test_gamma_delta_brackets_stay_vertical(chained, clm):
                     br = lie_bracket(gv, dv)
                     for coord in br.coeffs:
                         assert coord.kind != 1 or coord.k == 0
+
+
+def test_gamma_invariance_reduces_to_the_k_plus_1_capped_prolongation(
+        chained, driftless, clm, pendulum, threeinput):
+    # the two facts behind Context.gamma_invariant, for j in {0..2k+1}^m:
+    # Delta_k has the same generators on the (k+1)-capped prolongation, and
+    # a Gamma coordinate of order >= k brackets to zero with all of them
+    for sysdef in (chained, driftless, clm, pendulum, threeinput):
+        systems = {}
+
+        def ps(j):
+            if j not in systems:
+                systems[j] = build_prolonged(sysdef, j)
+            return systems[j]
+
+        for k in range(0, 4):
+            for j in itertools.product(range(0, 2 * k + 2), repeat=sysdef.m):
+                gens = delta_generators(ps(j), k)
+                capped = tuple(min(jp, k + 1) for jp in j)
+                assert [g.key() for g in gens] == \
+                    [g.key() for g in delta_generators(ps(capped), k)], (j, k)
+                for c in gamma_coordinates(sysdef, j, k):
+                    if c.k >= k:
+                        d_c = unit_field(ps(j).space, c)
+                        assert all(lie_bracket(d_c, g).is_zero()
+                                   for g in gens), (j, k, c)
 
 
 # -- gamma sequence -----------------------------------------------------------
