@@ -3,14 +3,11 @@
 from .expr import (DenominatorVanishes, DivisionByZero, Expr,
                    UnsupportedTrigComposition, VarRef, cos_var, input_var,
                    param_var, render_expr, sin_var, state_var)
-from .jetgeom import (Distribution, IterationBudgetExceeded, JetSpace,
-                      MultiIndex, SamplingExhausted, SpaceMismatch,
-                      VectorField, ad_pow, generic_rank, is_vertical,
+from .jetgeom import (Distribution, JetSpace, MultiIndex, SamplingExhausted,
+                      SpaceMismatch, VectorField, ad_pow, generic_rank,
                       lie_bracket, unit_field)
-from .prolong import (DomainError, PreconditionNotMet, ProlongedSystem,
-                      bracket_comparison_check, build_prolonged,
-                      decomposition_check, delta_filtration, g_filtration,
-                      gamma_filtration, gamma_sequence)
+from .prolong import (ProlongedSystem, build_prolonged, delta_filtration,
+                      g_filtration, gamma_filtration)
 from .flatness import (Budgets, CandidateCountMismatch, NotLinearizable,
                        analyze, brunovsky_indices, cns_check,
                        search_flat_outputs, sigma_delta, sigma_gamma_delta,

@@ -108,6 +108,14 @@ def cos_var(base: VarRef) -> VarRef:
                   label="cos(%s)" % (base.label or base))
 
 
+def tan_half_values(base: VarRef, t: Fraction) -> Dict[VarRef, Fraction]:
+    """Values at tan-half parameter t: sin(base) = 2t/(1+t^2) and
+    cos(base) = (1-t^2)/(1+t^2), so sin^2 + cos^2 = 1 holds exactly; base
+    itself gets t, which is only meaningful through its atoms."""
+    return {base: t, sin_var(base): 2 * t / (1 + t * t),
+            cos_var(base): (1 - t * t) / (1 + t * t)}
+
+
 # ---------------------------------------------------------------------------
 # Monomials: sorted tuples of (VarRef, positive exponent)
 
@@ -204,10 +212,6 @@ _MONO_KEY = cmp_to_key(mono_cmp)
 Poly = Dict[Mono, Fraction]
 
 
-def pzero() -> Poly:
-    return {}
-
-
 def pconst(q) -> Poly:
     q = Fraction(q)
     return {MONO_ONE: q} if q else {}
@@ -294,15 +298,6 @@ def pmul_raw(a: Poly, b: Poly) -> Poly:
 
 def pmul(a: Poly, b: Poly) -> Poly:
     return reduce_trig(pmul_raw(a, b))
-
-
-def ppow(a: Poly, n: int) -> Poly:
-    if n < 0:
-        raise ValueError("negative power on a polynomial")
-    out = pconst(1)
-    for _ in range(n):
-        out = pmul(out, a)
-    return out
 
 
 def pleading(a: Poly) -> Tuple[Mono, Fraction]:
@@ -462,13 +457,18 @@ def _uni_deg(u: Dict[int, Poly]) -> int:
     return max(u) if u else -1
 
 
-def _uni_content(u: Dict[int, Poly]) -> Poly:
-    g: Poly = {}
+def _uni_primitive(u: Dict[int, Poly]) -> Tuple[Poly, Dict[int, Poly]]:
+    """(content, primitive part): the content is the monic gcd of the
+    coefficients; the primitive part is scaled to coprime integer
+    coefficients, which keeps the remainder sequence from growing."""
+    cont: Poly = {}
     for coeff in u.values():
-        g = poly_gcd(g, coeff)
-        if g == pconst(1):
+        cont = poly_gcd(cont, coeff)
+        if cont == pconst(1):
             break
-    return g
+    prim = {d: pdivexact(c, cont) for d, c in u.items()}
+    scale = primitive_scale(q for c in prim.values() for q in c.values())
+    return cont, {d: pscale(c, scale) for d, c in prim.items()}
 
 
 def _uni_prem(a: Dict[int, Poly], b: Dict[int, Poly]) -> Dict[int, Poly]:
@@ -492,44 +492,6 @@ def _uni_prem(a: Dict[int, Poly], b: Dict[int, Poly]) -> Dict[int, Poly]:
     return r
 
 
-def _euclid_univar(ua: Dict[int, Fraction], ub: Dict[int, Fraction],
-                   v: VarRef) -> Poly:
-    """Monic Euclid over Q[v]; keeps coefficient sizes polynomial, unlike a
-    pseudo-remainder chain."""
-    def deg(u):
-        return max(u) if u else -1
-    def monic(u):
-        lc = u[deg(u)]
-        return {d: c / lc for d, c in u.items()}
-    def rem(x, y):
-        x = dict(x)
-        dy = deg(y)
-        while x and deg(x) >= dy:
-            dx = deg(x)
-            f = x[dx]
-            for d, c in y.items():
-                k = d + dx - dy
-                val = x.get(k, Fraction(0)) - f * c
-                if val:
-                    x[k] = val
-                else:
-                    x.pop(k, None)
-        return x
-    ua, ub = monic(ua), monic(ub)
-    if deg(ua) < deg(ub):
-        ua, ub = ub, ua
-    while ub:
-        ua, ub = ub, rem(ua, ub)
-        if ua and deg(ua) == 0:
-            return pconst(1)
-        if ub:
-            ub = monic(ub)
-    out: Poly = {}
-    for d, c in monic(ua).items():
-        out[((v, d),) if d else MONO_ONE] = c
-    return pmonic(out)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """GCD in Q[vars] (monic, graded-lex leading coefficient 1); sin atoms rejected."""
     if _has_sin(a) or _has_sin(b):
@@ -538,34 +500,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return pmonic(b)
     if not b:
         return pmonic(a)
-    ga, gb = pmonomial_content(a), pmonomial_content(b)
-    gm = _mono_gcd(ga, gb)
     if len(a) == 1 or len(b) == 1:
-        return {gm: Fraction(1)}
+        return {_mono_gcd(pmonomial_content(a), pmonomial_content(b)):
+                Fraction(1)}
     v = _main_var(a, b)
     ua, ub = _to_univar(a, v), _to_univar(b, v)
-    if all(not c or set(c) == {MONO_ONE} for u in (ua, ub) for c in u.values()):
-        flat_a = {d: c.get(MONO_ONE, Fraction(0)) for d, c in ua.items()}
-        flat_b = {d: c.get(MONO_ONE, Fraction(0)) for d, c in ub.items()}
-        return _euclid_univar({d: c for d, c in flat_a.items() if c},
-                              {d: c for d, c in flat_b.items() if c}, v)
-    if _uni_deg(ua) == 0 or _uni_deg(ub) == 0:
-        # v-free factor: gcd of all coefficients
-        g = _uni_content(ua)
-        g = poly_gcd(g, _uni_content(ub))
-        return pmonic(g)
-    ca, cb = _uni_content(ua), _uni_content(ub)
+    ca, pa = _uni_primitive(ua)
+    cb, pb = _uni_primitive(ub)
     cont = poly_gcd(ca, cb)
-    pa = {d: pdivexact(c, ca) for d, c in ua.items()}
-    pb = {d: pdivexact(c, cb) for d, c in ub.items()}
     if _uni_deg(pa) < _uni_deg(pb):
         pa, pb = pb, pa
     while True:
         r = _uni_prem(pa, pb)
         if not r:
             break
-        rc = _uni_content(r)
-        pa, pb = pb, {d: pdivexact(c, rc) for d, c in r.items()}
+        pa, pb = pb, _uni_primitive(r)[1]
         if _uni_deg(pb) == 0:
             pb = {0: pconst(1)}
             break
@@ -674,14 +623,6 @@ class Expr:
 
     def is_one(self) -> bool:
         return self.num == pconst(1) and self.den == pconst(1)
-
-    def is_constant(self) -> bool:
-        return (not self.num or set(self.num) == {MONO_ONE}) and self.den == pconst(1)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.num.get(MONO_ONE, Fraction(0))
 
     def free_vars(self) -> set:
         return pvars(self.num) | pvars(self.den)

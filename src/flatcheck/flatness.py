@@ -275,10 +275,13 @@ def _certify_conditions(ps: ProlongedSystem, kstar: int) -> Optional[dict]:
         fail = next(bracket_failures(
             itertools.combinations(dist.generators, 2), member), None)
         if fail is None:
+            # only Gamma coordinates of order < k can bracket to nonzero
+            # (see Context.gamma_invariant)
             condition = "gamma_invariance"
-            fail = next(bracket_failures(itertools.product(
-                gamma_filtration(ps, k).generators, dist.generators),
-                member), None)
+            gammas = [unit_field(ps.space, c)
+                      for c in gamma_coordinates(ps.sysdef, ps.j, k) if c.k < k]
+            fail = next(bracket_failures(
+                itertools.product(gammas, dist.generators), member), None)
         if fail is not None:
             return {"condition": condition, "k": k, "certified": True,
                     **_rendered(fail)}
@@ -298,10 +301,6 @@ def _rendered(fail) -> dict:
 class Initialization:
     kept: Tuple[int, ...]          # original 1-based channel indices, order 0
     variant: str                   # "standard" | "eager"
-
-    @property
-    def p0(self) -> int:
-        return len(self.kept)
 
     def prolonged(self, m: int) -> Tuple[int, ...]:
         return tuple(p for p in range(1, m + 1) if p not in self.kept)

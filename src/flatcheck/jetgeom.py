@@ -1,5 +1,5 @@
 """Vector fields on prolonged jet spaces: Lie brackets, distributions,
-generic rank with exact certificates, involutivity and closures."""
+generic rank with exact certificates, and involutivity."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .expr import (Expr, Poly, VarRef, cos_var, mono_div, pconst, pdivexact,
                    pleading, pmonomial_content, pmul, primitive_scale, pscale,
                    psub, pvar, param_var, render_expr, render_poly, sin_var,
-                   DenominatorVanishes, MONO_ONE, UDERIV)
+                   tan_half_values, DenominatorVanishes, MONO_ONE)
 
 
 class GeometryError(Exception):
@@ -25,10 +25,6 @@ class SpaceMismatch(GeometryError):
 
 
 class SamplingExhausted(GeometryError):
-    pass
-
-
-class IterationBudgetExceeded(GeometryError):
     pass
 
 
@@ -44,14 +40,6 @@ class MultiIndex(tuple):
             raise ValueError("multi-index components must be nonnegative")
         return super().__new__(cls, vals)
 
-    def cmin(self, other) -> "MultiIndex":
-        other = _broadcast(other, len(self))
-        return MultiIndex(min(a, b) for a, b in zip(self, other))
-
-    def cmax(self, other) -> "MultiIndex":
-        other = _broadcast(other, len(self))
-        return MultiIndex(max(a, b) for a, b in zip(self, other))
-
     @property
     def total(self) -> int:
         return sum(self)
@@ -61,12 +49,6 @@ class MultiIndex(tuple):
         position p; stable on ties."""
         order = sorted(range(len(self)), key=lambda i: (self[i], i))
         return MultiIndex(self[i] for i in order), tuple(order)
-
-
-def _broadcast(other, m: int):
-    if isinstance(other, int):
-        return (other,) * m
-    return tuple(other)
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +77,6 @@ class JetSpace:
     def col(self, v: VarRef) -> int:
         return self._cols[v]
 
-    def state_coords(self) -> Tuple[VarRef, ...]:
-        return self.coords[: self.n]
-
-    def u_coord(self, i: int, k: int) -> VarRef:
-        for v in self.coords[self.n:]:
-            if v.kind == UDERIV and v.i == i and v.k == k:
-                return v
-        raise KeyError("u_%d^(%d) is not a coordinate of this space" % (i, k))
-
     def sample_point(self, rng: random.Random) -> Dict[VarRef, Fraction]:
         """Random rational point; params nonzero; trig pairs via tan-half."""
         pt: Dict[VarRef, Fraction] = {}
@@ -115,10 +88,8 @@ class JetSpace:
                 num = rng.randint(-20, 20)
             pt[v] = Fraction(num, rng.randint(1, 7))
         for b in self.trig_bases:
-            t = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-            pt[b] = t
-            pt[sin_var(b)] = 2 * t / (1 + t * t)
-            pt[cos_var(b)] = (1 - t * t) / (1 + t * t)
+            pt.update(tan_half_values(
+                b, Fraction(rng.randint(-20, 20), rng.randint(1, 7))))
         return pt
 
 
@@ -241,27 +212,6 @@ def ad_pow(v: VectorField, w: VectorField, k: int) -> VectorField:
     for _ in range(k):
         out = lie_bracket(v, out)
     return out
-
-
-def is_vertical(v: VectorField, depends_at_most: MultiIndex) -> bool:
-    """Only d/dx components, coefficients depending at most on x^(bound)."""
-    space = v.space
-    states = set(space.state_coords())
-    for c in v.coeffs:
-        if c not in states:
-            return False
-    allowed = set(states) | set(space.params)
-    for i, cap in enumerate(depends_at_most, start=1):
-        for k in range(0, cap + 1):
-            try:
-                allowed.add(space.u_coord(i, k))
-            except KeyError:
-                break
-    for e in v.coeffs.values():
-        for b in e.free_base_vars():
-            if b not in allowed:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +349,6 @@ class RankCertificate:
     factors: List[Poly] = field(default_factory=list)
     base_point_rank: Optional[int] = None
     base_point_drop: bool = False
-    seed: int = 0
 
     def factor_strings(self) -> List[str]:
         seen = []
@@ -531,7 +480,7 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
     points), cross-checked by fraction-free elimination when dim <= 12."""
     fields = [f for f in fields if not f.is_zero()]
     if not fields:
-        return RankCertificate(0, 0, 0, [], [], seed=seed)
+        return RankCertificate(0, 0, 0, [], [])
     rng = random.Random(_stable_seed(seed, fields))
     points: List[Dict[VarRef, Fraction]] = []
     echelons: List[PointEchelon] = []
@@ -556,7 +505,7 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
         sym_rank, factors = symbolic_rank(fields, space)
     rank = sym_rank if sym_rank is not None else sampled
     cert = RankCertificate(rank, sampled, sym_rank, points, echelons,
-                           factors=factors, seed=seed)
+                           factors=factors)
     if base_point is not None:
         bp = dict(base_point)
         for v in space.coords:
@@ -646,26 +595,6 @@ class Distribution:
                 None)
             self._involutive = (fail is None, fail)
         return self._involutive
-
-    def involutive_closure(self, max_iter: Optional[int] = None) -> "Distribution":
-        budget = max_iter if max_iter is not None \
-            else (self.space.dim - self.rank) + 2
-        current = self
-        for _ in range(budget + 1):
-            probe = current
-            # the probe grows during the sweep: each bracket is tested
-            # against the span that already holds the failures before it
-            for _, _, br in bracket_failures(
-                    itertools.combinations(current.generators, 2),
-                    lambda v: probe.contains(v)):
-                probe = Distribution(self.space, probe.generators + [br],
-                                     seed=self.seed, samples=self.samples)
-            if probe is current:
-                return current
-            current = probe
-            if current.rank >= self.space.dim:
-                return current
-        raise IterationBudgetExceeded("involutive closure did not stabilize")
 
 
 class CoordinateSpan:

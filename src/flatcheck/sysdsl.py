@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (Expr, VarRef, _plain_var_of, cos_var, input_var, param_var,
-                   render_expr, sin_var, state_var)
+                   render_expr, sin_var, state_var, tan_half_values)
 from .report import AnalysisReport
 
 KEYWORDS = {"system", "state", "input", "param", "dot", "flatoutput", "point"}
@@ -219,11 +219,7 @@ class RationalPoint:
     def resolved(self) -> Dict[VarRef, Fraction]:
         full = dict(self.assign)
         for base, t in self.trig_t.items():
-            s = 2 * t / (1 + t * t)
-            c = (1 - t * t) / (1 + t * t)
-            full[base] = t            # only meaningful through its atoms
-            full[sin_var(base)] = s
-            full[cos_var(base)] = c
+            full.update(tan_half_values(base, t))
         return full
 
 
@@ -364,12 +360,20 @@ def _ident(p: _Parser, what: str) -> Tok:
     return p.take()
 
 
+def _new_name(p: _Parser, sysdef: SystemDef, what: str) -> Tok:
+    """An identifier not yet declared as a state, input or parameter."""
+    name = _ident(p, what)
+    if name.text in sysdef.state_names or name.text in sysdef.input_names \
+            or name.text in sysdef.params:
+        raise DslError("duplicate name %r" % name.text, name.line, name.col)
+    return name
+
+
 def parse_system(text: str) -> SystemDef:
     toks = tokenize(text)
     sysdef = SystemDef(name="", state_names=[], input_names=[], params={}, f=[])
     p = _Parser(toks, sysdef)
     dot_rhs: Dict[str, Expr] = {}
-    dot_lines: List[Tuple[str, int]] = []
     pending_dots: List[Tuple[Tok, List[Tok]]] = []
     flat_tokens: Optional[List[Tok]] = None
 
@@ -391,10 +395,7 @@ def parse_system(text: str) -> SystemDef:
         elif kw == "state":
             got = False
             while not p.at_newline():
-                name = _ident(p, "a state name")
-                if name.text in sysdef.state_names or name.text in sysdef.input_names \
-                        or name.text in sysdef.params:
-                    raise DslError("duplicate name %r" % name.text, name.line, name.col)
+                name = _new_name(p, sysdef, "a state name")
                 sysdef.state_names.append(name.text)
                 got = True
             if not got:
@@ -402,19 +403,13 @@ def parse_system(text: str) -> SystemDef:
         elif kw == "input":
             got = False
             while not p.at_newline():
-                name = _ident(p, "an input name")
-                if name.text in sysdef.state_names or name.text in sysdef.input_names \
-                        or name.text in sysdef.params:
-                    raise DslError("duplicate name %r" % name.text, name.line, name.col)
+                name = _new_name(p, sysdef, "an input name")
                 sysdef.input_names.append(name.text)
                 got = True
             if not got:
                 raise SyntaxErr(t.line, t.col, "at least one input name")
         elif kw == "param":
-            name = _ident(p, "a parameter name")
-            if name.text in sysdef.state_names or name.text in sysdef.input_names \
-                    or name.text in sysdef.params:
-                raise DslError("duplicate name %r" % name.text, name.line, name.col)
+            name = _new_name(p, sysdef, "a parameter name")
             value = None
             if not p.at_newline():
                 p.expect_op("=")
@@ -476,7 +471,6 @@ def parse_system(text: str) -> SystemDef:
             bad = sub.peek()
             raise SyntaxErr(bad.line, bad.col, "end of line")
         dot_rhs[lhs.text] = rhs
-        dot_lines.append((lhs.text, lhs.line))
     for name in sysdef.state_names:
         if name not in dot_rhs:
             raise MissingEquation(name)

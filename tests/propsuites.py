@@ -3,12 +3,13 @@ gate (which runs them at full size with a fixed seed)."""
 
 import random
 
-from flatcheck.jetgeom import (MultiIndex, is_vertical, lie_bracket, unit_field)
+from flatcheck.jetgeom import MultiIndex, lie_bracket, unit_field
 from flatcheck.prolong import (build_prolonged, delta_filtration,
-                               g_filtration, gamma_filtration, gamma_field,
-                               gamma_rank_formula, delta_rank_bound)
+                               g_filtration, gamma_filtration)
 
 from conftest import random_field, random_system
+from paper_identities import (ad_top, cmin, delta_rank_bound, gamma_field,
+                              gamma_rank_formula, is_vertical)
 
 
 def _random_prolonged(rng, j_cap=3):
@@ -52,15 +53,15 @@ def suite_prolonged_bracket_identities(cases: int, seed: int = 977) -> int:
             expect = unit_field(ps.space, sysdef.input(i, ji - k))
             if k % 2 == 1:
                 expect = -expect
-            assert ps.ad_top(i, k) == expect
+            assert ad_top(ps, i, k) == expect
         # continuation: ad^(j_i+k) g_i = (-1)^(j_i) ad^k d/du_i^(0), vertical
         k = rng.randint(1, 2)
-        lhs = ps.ad_top(i, ji + k)
+        lhs = ad_top(ps, i, ji + k)
         rhs = ps.ad_u0(i, k)
         if ji % 2 == 1:
             rhs = -rhs
         assert lhs == rhs
-        assert is_vertical(lhs, j.cmin(k - 1))
+        assert is_vertical(lhs, cmin(j, k - 1))
         # zero brackets: [d/du_p^(j_p-kk), ad^(l-j_q) d/du_q^(0)] = 0
         # for kk < j_p, l >= j_q, kk + l < j_p + j_q + 1
         for p in range(1, sysdef.m + 1):
@@ -101,6 +102,6 @@ def suite_gamma_recursion(cases: int, seed: int = 31415) -> int:
         ps = _random_prolonged(rng)
         i = rng.randint(1, ps.sysdef.m)
         k = rng.randint(1, 3)
-        assert gamma_field(ps, i, k) == ps.ad_top(i, ps.j[i - 1] + k)
+        assert gamma_field(ps, i, k) == ad_top(ps, i, ps.j[i - 1] + k)
         ran += 1
     return ran

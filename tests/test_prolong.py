@@ -6,16 +6,16 @@ import pytest
 from flatcheck.expr import Expr
 from flatcheck.jetgeom import (MultiIndex, VectorField, ad_pow, lie_bracket,
                                unit_field)
-from flatcheck.prolong import (DomainError, PreconditionNotMet,
-                               bracket_comparison_check, build_prolonged,
-                               decomposition_check, delta_filtration,
+from flatcheck.prolong import (build_prolonged, delta_filtration,
                                delta_generators, g_filtration, g_stabilization,
-                               gamma_coordinates, gamma_field,
-                               gamma_filtration, gamma_rank_formula,
-                               gamma_sequence, lift_field)
+                               gamma_coordinates, gamma_filtration)
 from flatcheck.sysdsl import SystemDef
 
 from conftest import random_system
+from paper_identities import (DomainError, PreconditionNotMet, ad_top,
+                              bracket_comparison_check, decomposition_check,
+                              gamma_field, gamma_rank_formula, gamma_sequence,
+                              lift_field)
 from propsuites import (suite_decomposition, suite_gamma_recursion,
                         suite_prolonged_bracket_identities)
 
@@ -225,7 +225,7 @@ def test_gamma_sequence_base_case(chained):
 def test_gamma_sequence_matches_bracket(chained):
     ps = build_prolonged(chained, [4, 0])
     for i, k in ((2, 1), (2, 2), (2, 3), (1, 1), (1, 2)):
-        assert gamma_field(ps, i, k) == ps.ad_top(i, ps.j[i - 1] + k)
+        assert gamma_field(ps, i, k) == ad_top(ps, i, ps.j[i - 1] + k)
 
 
 def test_gamma_sequence_linear_closed_form():
@@ -260,7 +260,7 @@ def test_bracket_comparison_linear_difference_vanishes():
         ps0 = build_prolonged(s, [0, 0])
         for i in (1, 2):
             for nu in (1, 2, 3):
-                lhs = ps.ad_top(i, ps.j[i - 1] + nu)
+                lhs = ad_top(ps, i, ps.j[i - 1] + nu)
                 rhs = lift_field(ad_pow(ps0.g0, ps0.gi[i - 1], nu), ps.space)
                 if ps.j[i - 1] % 2 == 1:
                     rhs = -rhs

@@ -37,6 +37,16 @@ def test_duplicate_equation():
         parse_system("system s\nstate x1\ninput u\ndot x1 = u\ndot x1 = u\n")
 
 
+def test_declarations_reject_a_name_already_declared():
+    tail = "dot x1 = u\n"
+    for text in ("system s\nstate x1 x1\ninput u\n",        # state, state
+                 "system s\nparam x1\nstate x1\ninput u\n",  # state, param
+                 "system s\nstate x1\ninput u x1\n",        # input, state
+                 "system s\nstate x1\ninput u\nparam u\n"):  # param, input
+        with pytest.raises(DslError, match="duplicate name"):
+            parse_system(text + tail)
+
+
 def test_undeclared_identifier():
     with pytest.raises(UndeclaredIdentifier):
         parse_system("system s\nstate x1\ninput u\ndot x1 = y\n")
