@@ -132,10 +132,10 @@ def _print_text_report(rep: AnalysisReport, trace: bool):
                                       list(st.sigma_gamma_delta), st.witness_l))
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, budgets: Budgets) -> int:
     sysdef = _load(args)
     t0 = time.perf_counter()
-    rep = analyze(sysdef, _budgets(args))
+    rep = analyze(sysdef, budgets)
     elapsed = (time.perf_counter() - t0) * 1000.0
     if args.json:
         sys.stdout.write(emit_report(rep))
@@ -146,11 +146,10 @@ def cmd_analyze(args) -> int:
             "inconclusive": EXIT_INCONCLUSIVE}[rep.verdict]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, budgets: Budgets) -> int:
     sysdef = _load(args)
     if not sysdef.declared_flat_outputs:
         raise DslError("no flatoutput line in %s" % args.input)
-    budgets = _budgets(args)
     if args.prolong is not None:
         j = _parse_prolong(args.prolong, sysdef.m)
     else:
@@ -176,11 +175,11 @@ def cmd_verify(args) -> int:
     return EXIT_NOT_FLAT
 
 
-def cmd_bracket(args) -> int:
+def cmd_bracket(args, budgets: Budgets) -> int:
     sysdef = _load(args)
     j = _parse_prolong(args.prolong, sysdef.m) if args.prolong \
         else MultiIndex([0] * sysdef.m)
-    ps = build_prolonged(sysdef, j, seed=_seed(args), samples=args.samples)
+    ps = build_prolonged(sysdef, j, seed=budgets.seed, samples=budgets.samples)
     fields = {"g0": ps.g0}
     for i in range(1, sysdef.m + 1):
         fields["g%d" % i] = ps.gi[i - 1]
@@ -195,7 +194,7 @@ def cmd_bracket(args) -> int:
     return EXIT_FLAT
 
 
-def cmd_lint(args) -> int:
+def cmd_lint(args, budgets: Budgets) -> int:
     sysdef = _load(args)
     print("%s: ok (n=%d, m=%d%s)" % (args.input, sysdef.n, sysdef.m,
                                      ", params: %s" % ", ".join(sysdef.params)
@@ -212,7 +211,8 @@ def main(argv=None) -> int:
     command = {"analyze": cmd_analyze, "verify": cmd_verify,
                "bracket": cmd_bracket, "lint": cmd_lint}[args.command]
     try:
-        status = command(args)
+        # the budget flags are shared by every subcommand: checked once here
+        status = command(args, _budgets(args))
         sys.stdout.flush()      # a closed pipe surfaces here, not at exit
     except BrokenPipeError:
         # the reader went away: point stdout at devnull so the interpreter's

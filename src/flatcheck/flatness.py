@@ -57,6 +57,18 @@ class Budgets:
 # Analysis context: shared caches, deterministic under a fixed seed
 
 class Context:
+    """Shared caches of one analysis.  The sigma-search conditions are
+    memoized per (j, k) and, behind that, per Delta_k generator list: the
+    involutivity verdict by the list, the Gamma-coordinate failures by
+    (list, coordinate).  This is exact.  Involutivity of span{gens}, and
+    whether [d/dc, V] = dV/dc lies in it, depend only on the generators'
+    coefficients: two prolongations with the same list differ only in
+    coordinates that no generator involves, so every bracket is the same
+    field on both, and a larger prolongation only adds zero columns, which
+    change no rank.  A shared failure list may hold fields of another
+    prolongation's jet space; they are rendered, and the incremental check
+    reuses only failures on its own space."""
+
     def __init__(self, sysdef: SystemDef, budgets: Budgets):
         self.sysdef = sysdef
         self.budgets = budgets
@@ -65,6 +77,8 @@ class Context:
         self._inv: Dict[Tuple[Tuple[int, ...], int], Tuple[bool, list]] = {}
         self._gam: Dict[Tuple[Tuple[int, ...], int], Tuple[bool, list]] = {}
         self._gam_coord: Dict[Tuple[Tuple[int, ...], int, VarRef], list] = {}
+        self._inv_by_gens: Dict[tuple, Tuple[bool, list]] = {}
+        self._gam_by_gens: Dict[Tuple[tuple, VarRef], list] = {}
         self.warnings: List[str] = []
 
     def ps(self, j) -> ProlongedSystem:
@@ -78,22 +92,35 @@ class Context:
     # involutivity of Delta_k^(j), incremental in k per j
     def delta_involutive(self, j: Tuple[int, ...], k: int):
         key = (j, k)
-        if key in self._inv:
-            return self._inv[key]
+        if key not in self._inv:
+            ps = self.ps(j)
+            gkey = _generators_key(delta_generators(ps, k))
+            verdict = self._inv_by_gens.get(gkey)
+            if verdict is None:
+                verdict = self._inv_by_gens[gkey] = self._delta_sweep(j, k)
+            self._inv[key] = verdict
+        return self._inv[key]
+
+    def _delta_sweep(self, j: Tuple[int, ...], k: int):
         ps = self.ps(j)
         dist = delta_filtration(ps, k)
         pairs = itertools.combinations(dist.generators, 2)
         fails = []
-        if k > 0 and (j, k - 1) in self._inv:
+        prev = self._inv.get((j, k - 1))
+        if prev is not None and all(f[2].space == ps.space for f in prev[1]):
             # Delta is nested: only brackets touching new generators, plus the
-            # previous failures against the bigger span, need rechecking
+            # previous failures against the bigger span, need rechecking (a
+            # verdict shared from another prolongation may hold failures on
+            # its space: then the sweep is full)
             old = set(delta_generators(ps, k - 1))
             pairs = [(a, b) for a, b in pairs if a not in old or b not in old]
-            fails = [f for f in self._inv[(j, k - 1)][1]
-                     if not dist.contains(f[2])]
+            fails = [f for f in prev[1] if not dist.contains(f[2])]
         fails.extend(bracket_failures(pairs, dist.contains))
-        self._inv[key] = (not fails, fails)
-        return self._inv[key]
+        # pair order, as a full sweep finds them, so that a shared verdict
+        # does not depend on which prolongation computed it
+        pos = {g: i for i, g in enumerate(dist.generators)}
+        fails.sort(key=lambda f: (pos[f[0]], pos[f[1]]))
+        return not fails, fails
 
     # [Gamma_k, Delta_k] c Delta_k, one bracket sweep per Gamma coordinate
     def gamma_invariant(self, j: Tuple[int, ...], k: int):
@@ -114,11 +141,21 @@ class Context:
         key = (j, k, c)
         if key not in self._gam_coord:
             ps = self.ps(j)
-            dist = delta_filtration(ps, k)
-            self._gam_coord[key] = list(bracket_failures(
-                ((unit_field(ps.space, c), g) for g in dist.generators),
-                dist.contains))
+            gkey = (_generators_key(delta_generators(ps, k)), c)
+            fails = self._gam_by_gens.get(gkey)
+            if fails is None:
+                dist = delta_filtration(ps, k)
+                dc = unit_field(ps.space, c)
+                fails = self._gam_by_gens[gkey] = list(bracket_failures(
+                    ((dc, g) for g in dist.generators), dist.contains))
+            self._gam_coord[key] = fails
         return self._gam_coord[key]
+
+
+def _generators_key(gens: Sequence[VectorField]) -> tuple:
+    """The nonzero generators by coefficients, in order: what a Delta_k
+    verdict depends on."""
+    return tuple(g.key() for g in gens if not g.is_zero())
 
 
 # ---------------------------------------------------------------------------

@@ -477,7 +477,8 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
                  samples: int = 5, base_point: Optional[Dict[VarRef, Fraction]] = None,
                  symbolic: Optional[bool] = None) -> RankCertificate:
     """Generic rank by exact evaluation at random rational points (max over
-    points), cross-checked by fraction-free elimination when dim <= 12."""
+    points), then `certify`: cross-checked by fraction-free elimination when
+    dim <= 12.  With symbolic=False and no base point, only the sampled pass."""
     fields = [f for f in fields if not f.is_zero()]
     if not fields:
         return RankCertificate(0, 0, 0, [], [])
@@ -496,6 +497,19 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
             break
         else:
             raise SamplingExhausted("could not sample a denominator-avoiding point")
+    return certify(fields, space, points, echelons, base_point=base_point,
+                   symbolic=symbolic)
+
+
+def certify(fields: Sequence[VectorField], space: JetSpace,
+            points: List[Dict[VarRef, Fraction]], echelons: List[PointEchelon],
+            base_point: Optional[Dict[VarRef, Fraction]] = None,
+            symbolic: Optional[bool] = None) -> RankCertificate:
+    """The exact step of `generic_rank` on the sampled pass's own points:
+    fraction-free elimination when dim <= 12 (or as `symbolic` says), and
+    the rank at the base point."""
+    if not fields:
+        return RankCertificate(0, 0, 0, [], [])
     sampled = max(ech.rank for ech in echelons)
     sym_rank = None
     factors: List[Poly] = []
@@ -524,7 +538,10 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
 # Distributions
 
 class Distribution:
-    """Finite-generator distribution with a cached generic-rank certificate."""
+    """Finite-generator distribution.  The rank-sampling echelons are built
+    with it and serve membership and involutivity; the exact certificate
+    (Bareiss elimination, base-point rank) is computed on the first read of
+    `rank`, `certificate` or `contains_certified`."""
 
     def __init__(self, space: JetSpace, generators: Sequence[VectorField],
                  seed: int = 0, samples: int = 5,
@@ -539,13 +556,23 @@ class Distribution:
         self.generators: List[VectorField] = gens
         self.seed = seed
         self.samples = samples
-        self.certificate = generic_rank(gens, space, seed=seed, samples=samples,
-                                        base_point=base_point)
-        best = self.certificate.sampled_rank
+        self._base_point = base_point
+        self._sampled = generic_rank(gens, space, seed=seed, samples=samples,
+                                     symbolic=False)
+        self._certificate: Optional[RankCertificate] = None
+        best = self._sampled.sampled_rank
         # membership probes reduce against the echelons of the top-rank points
-        self._echelons = [ech for ech in self.certificate.echelons
+        self._echelons = [ech for ech in self._sampled.echelons
                           if ech.rank == best]
         self._involutive: Optional[tuple] = None
+
+    @property
+    def certificate(self) -> RankCertificate:
+        if self._certificate is None:
+            self._certificate = certify(
+                self.generators, self.space, self._sampled.points,
+                self._sampled.echelons, base_point=self._base_point)
+        return self._certificate
 
     @property
     def rank(self) -> int:

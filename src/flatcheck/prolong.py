@@ -51,8 +51,10 @@ class ProlongedSystem:
 
     def ad_u0(self, p: int, r: int) -> VectorField:
         """ad_{g0}^r d/du_p^(0)."""
-        chain = self._ad_u0.setdefault(p, [unit_field(self.space,
-                                                      self.sysdef.input(p, 0))])
+        chain = self._ad_u0.get(p)
+        if chain is None:
+            chain = self._ad_u0[p] = [unit_field(self.space,
+                                                 self.sysdef.input(p, 0))]
         while len(chain) <= r:
             chain.append(lie_bracket(self.g0, chain[-1]))
         return chain[r]

@@ -179,3 +179,15 @@ def test_closed_pipe_is_not_a_verdict():
     err = proc.stderr.decode()
     assert proc.returncode == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_budget_flags_are_checked_for_every_subcommand(capsys):
+    from flatcheck import cli
+    chained = str(FIXTURES / "chained.flt")
+    extra = {"analyze": [], "verify": [], "bracket": ["g0", "g1"], "lint": []}
+    for command, rest in extra.items():
+        for flags in (["--samples", "0"], ["--ansatz-degree", "-2"],
+                      ["--max-k", "-1"], ["--max-prolong", "0"]):
+            code = cli.main([command, chained, *rest, *flags])
+            assert code == cli.EXIT_USAGE, (command, flags)
+            assert "must be positive" in capsys.readouterr().err

@@ -10,7 +10,8 @@ from flatcheck.flatness import (Budgets, CandidateCountMismatch, Context,
                                 cns_check, search_flat_outputs, sigma_delta,
                                 sigma_gamma_delta, static_linearizable,
                                 verify_flat_output)
-from flatcheck.jetgeom import MultiIndex, bracket_failures
+from flatcheck import jetgeom
+from flatcheck.jetgeom import MultiIndex, bracket_failures, generic_rank
 from flatcheck.prolong import (build_prolonged, delta_filtration,
                                gamma_filtration)
 from flatcheck.report import INF
@@ -112,6 +113,90 @@ def test_gamma_invariant_matches_the_full_sweep_on_ps_j(chained, driftless, clm,
                 if k == 1:
                     # no Gamma_1 coordinate has order < 1
                     assert (ok, fails) == (True, [])
+
+
+# -- sharing and on-demand certification ---------------------------------------
+
+DRIFTLESS_PLUS_Z = """system driftless_z
+state x1 x2 x3 x4 z
+input u1 u2 v
+dot x1 = u1
+dot x2 = x3*u1
+dot x3 = x4*u1
+dot x4 = u2
+dot z = v
+"""
+
+
+def test_shared_verdicts_match_a_fresh_context_per_query(chained, driftless,
+                                                         clm, pendulum,
+                                                         threeinput):
+    systems = (chained, driftless, clm, pendulum, threeinput,
+               parse_system(DRIFTLESS_PLUS_Z))
+    for sysdef in systems:
+        warm = Context(sysdef, Budgets())
+        fresh = {}
+        for k in range(1, 4):
+            for j in itertools.product(range(0, k + 2), repeat=sysdef.m):
+                # (j, k-1) first: for a j new to the box it is answered by
+                # another prolongation's verdict, before (j, k) is computed
+                for kk in (k - 1, k):
+                    for check in ("delta_involutive", "gamma_invariant"):
+                        key = (check, j, kk)
+                        if key not in fresh:
+                            ok, fails = getattr(
+                                Context(sysdef, Budgets()), check)(j, kk)
+                            fresh[key] = ok, [_rendered(f) for f in fails]
+                        ok, fails = getattr(warm, check)(j, kk)
+                        assert (ok, [_rendered(f) for f in fails]) == \
+                            fresh[key], (sysdef.name, key)
+        assert len(warm._inv_by_gens) < len(warm._inv), sysdef.name
+
+
+def test_certificates_are_computed_on_first_read(chained, driftless, clm,
+                                                 threeinput):
+    for sysdef, j in ((chained, (4, 0)), (driftless, (2, 0)), (clm, (0, 3)),
+                      (threeinput, (1, 0, 0))):
+        ctx = Context(sysdef, Budgets())
+        assert cns_check(sysdef, j, ctx=ctx).ok
+        dists = [d for ps in ctx._ps.values() for d in ps._dist_cache.values()]
+        assert dists
+        for dist in dists:
+            lazy = dist.certificate
+            eager = generic_rank(dist.generators, dist.space, seed=dist.seed,
+                                 samples=dist.samples,
+                                 base_point=ctx.base_point)
+            assert (lazy.rank, lazy.sampled_rank, lazy.symbolic_rank) == \
+                (eager.rank, eager.sampled_rank, eager.symbolic_rank)
+            assert lazy.points == eager.points
+            assert [e.rows for e in lazy.echelons] == \
+                [e.rows for e in eager.echelons]
+            assert lazy.factors == eager.factors
+            assert (lazy.base_point_rank, lazy.base_point_drop) == \
+                (eager.base_point_rank, eager.base_point_drop)
+
+
+def test_sigma_conditions_run_no_symbolic_elimination(chained, monkeypatch):
+    calls = []
+    real = jetgeom.symbolic_rank
+
+    def counted(fields, space):
+        calls.append(space.dim)
+        return real(fields, space)
+
+    monkeypatch.setattr(jetgeom, "symbolic_rank", counted)
+    ctx = Context(chained, Budgets())
+    for k in range(1, 4):
+        for j in itertools.product(range(0, 2 * k + 2), repeat=chained.m):
+            ctx.delta_involutive(j, k)
+            ctx.gamma_invariant(j, k)
+    assert calls == []
+    dist = next(d for ps in ctx._ps.values() for d in ps._dist_cache.values()
+                if d.space.dim <= 12 and d.generators)
+    rank = dist.rank
+    assert len(calls) == 1
+    assert dist.rank == rank and dist.certificate.symbolic_rank == rank
+    assert len(calls) == 1
 
 
 # -- sigma values ---------------------------------------------------------------
