@@ -342,6 +342,28 @@ def peval(a: Poly, assign: Mapping[VarRef, Fraction]) -> Fraction:
     return total
 
 
+def fraction_mod(q: Fraction, p: int) -> int:
+    """The image of q in F_p; DenominatorVanishes if p divides its
+    denominator."""
+    d = q.denominator
+    if d == 1:
+        return q.numerator % p
+    try:
+        return q.numerator * pow(d, -1, p) % p
+    except ValueError:
+        raise DenominatorVanishes() from None
+
+
+def peval_mod(a: Poly, assign: Mapping[VarRef, int], p: int) -> int:
+    total = 0
+    for m, c in a.items():
+        v = c.numerator if c.denominator == 1 else fraction_mod(c, p)
+        for var, e in m:
+            v = v * (assign[var] if e == 1 else pow(assign[var], e, p)) % p
+        total += v
+    return total % p
+
+
 def pvars(a: Poly) -> set:
     out = set()
     for m in a:
@@ -681,6 +703,16 @@ class Expr:
         if d == 0:
             raise DenominatorVanishes(assign)
         return peval(self.num, assign) / d
+
+    def eval_mod(self, assign: Mapping[VarRef, int], p: int) -> int:
+        """The value in F_p at a point of F_p: the image of the rational
+        value wherever the denominator is nonzero mod p."""
+        d = peval_mod(self.den, assign, p)
+        if d == 0:
+            raise DenominatorVanishes(assign)
+        if d == 1:
+            return peval_mod(self.num, assign, p)
+        return peval_mod(self.num, assign, p) * pow(d, -1, p) % p
 
     def substitute(self, bindings: Mapping[VarRef, "Expr"]) -> "Expr":
         # trig bases may only be renamed to plain variables

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .expr import (DenominatorVanishes, Expr, VarRef, cos_var, mono_cmp,
                    mono_from, pconst, primitive_scale, render_expr,
                    render_poly, sin_var)
-from .jetgeom import (Distribution, MultiIndex, PointEchelon, VectorField,
+from .jetgeom import (FP, Distribution, MultiIndex, PointEchelon, VectorField,
                       _factor_polys, accumulate_factors, bracket_failures,
                       generic_rank, lie_bracket, unit_field)
 from .prolong import (ProlongedSystem, build_prolonged, delta_filtration,
@@ -67,26 +67,36 @@ class Context:
     field on both, and a larger prolongation only adds zero columns, which
     change no rank.  A shared failure list may hold fields of another
     prolongation's jet space; they are rendered, and the incremental check
-    reuses only failures on its own space."""
+    reuses only failures on its own space.
+
+    For the same reason one Delta_k `Distribution` serves a generator list:
+    the one of the (j, k) that swept it first, its home.  The Gamma sweeps
+    of the list run there, on the home space; a coordinate c that the home
+    space lacks is one no generator involves, so every [d/dc, V] is zero.
+    The chain links ad_{g0}^r d/du_p^(0) of every prolongation come from
+    one store (see `ProlongedSystem.ad_u0`)."""
 
     def __init__(self, sysdef: SystemDef, budgets: Budgets):
         self.sysdef = sysdef
         self.budgets = budgets
         self.base_point = sysdef.base_point().resolved()
         self._ps: Dict[Tuple[int, ...], ProlongedSystem] = {}
+        self._links: Dict[tuple, VectorField] = {}
         self._inv: Dict[Tuple[Tuple[int, ...], int], Tuple[bool, list]] = {}
         self._gam: Dict[Tuple[Tuple[int, ...], int], Tuple[bool, list]] = {}
         self._gam_coord: Dict[Tuple[Tuple[int, ...], int, VarRef], list] = {}
         self._inv_by_gens: Dict[tuple, Tuple[bool, list]] = {}
         self._gam_by_gens: Dict[Tuple[tuple, VarRef], list] = {}
+        self._home: Dict[tuple, Tuple[Tuple[int, ...], int]] = {}
         self.warnings: List[str] = []
 
     def ps(self, j) -> ProlongedSystem:
         key = tuple(j)
         if key not in self._ps:
-            self._ps[key] = build_prolonged(
+            ps = self._ps[key] = build_prolonged(
                 self.sysdef, MultiIndex(j), seed=self.budgets.seed,
                 samples=self.budgets.samples, base_point=self.base_point)
+            ps.links = self._links
         return self._ps[key]
 
     # involutivity of Delta_k^(j), incremental in k per j
@@ -97,6 +107,7 @@ class Context:
             gkey = _generators_key(delta_generators(ps, k))
             verdict = self._inv_by_gens.get(gkey)
             if verdict is None:
+                self._home.setdefault(gkey, key)
                 verdict = self._inv_by_gens[gkey] = self._delta_sweep(j, k)
             self._inv[key] = verdict
         return self._inv[key]
@@ -140,14 +151,17 @@ class Context:
     def _gamma_failures(self, j: Tuple[int, ...], k: int, c: VarRef) -> list:
         key = (j, k, c)
         if key not in self._gam_coord:
-            ps = self.ps(j)
-            gkey = (_generators_key(delta_generators(ps, k)), c)
-            fails = self._gam_by_gens.get(gkey)
+            gkey = _generators_key(delta_generators(self.ps(j), k))
+            fails = self._gam_by_gens.get((gkey, c))
             if fails is None:
-                dist = delta_filtration(ps, k)
-                dc = unit_field(ps.space, c)
-                fails = self._gam_by_gens[gkey] = list(bracket_failures(
-                    ((dc, g) for g in dist.generators), dist.contains))
+                hj, hk = self._home.setdefault(gkey, (j, k))
+                dist = delta_filtration(self.ps(hj), hk)
+                fails = []
+                if c in dist.space:
+                    dc = unit_field(dist.space, c)
+                    fails = list(bracket_failures(
+                        ((dc, g) for g in dist.generators), dist.contains))
+                self._gam_by_gens[gkey, c] = fails
             self._gam_coord[key] = fails
         return self._gam_coord[key]
 
@@ -755,8 +769,9 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
     has no admissible combination.
 
     Each output annihilates the lower G levels and is nondegenerate at its
-    top level by construction, and the chain Jacobian has full rank at one
-    exact rational sample point, which proves full generic rank."""
+    top level by construction, and the chain Jacobian has full rank mod p
+    at one sample point, which proves full rank over Q at that rational
+    point, and so full generic rank."""
     try:
         kappa = brunovsky_indices(ps)
     except NotLinearizable:
@@ -771,10 +786,9 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
     def grown(ech: PointEchelon, rows: List[VectorField]):
         """A copy of ech with every row inserted, or None where one is
         dependent or has a pole at the point."""
-        out = PointEchelon(ech.point)
-        out.rows = list(ech.rows)
+        out = ech.copy()
         try:
-            if all(out.insert(r.eval_row(out.point)) for r in rows):
+            if all(out.insert(r.eval_row(out.point, out.field)) for r in rows):
                 return out
         except DenominatorVanishes:
             pass
@@ -798,7 +812,7 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
         return None
 
     points = g_filtration(ps, 0).certificate.points
-    return backtrack(0, [PointEchelon(pt) for pt in points])
+    return backtrack(0, [PointEchelon(pt, FP) for pt in points])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .expr import (Expr, Poly, VarRef, cos_var, mono_div, pconst, pdivexact,
                    pleading, pmonomial_content, pmul, primitive_scale, pscale,
                    psub, pvar, param_var, render_expr, render_poly, sin_var,
-                   tan_half_values, DenominatorVanishes, MONO_ONE)
+                   tan_half_values, fraction_mod, DenominatorVanishes,
+                   MONO_ONE)
 
 
 class GeometryError(Exception):
@@ -77,6 +78,9 @@ class JetSpace:
     def col(self, v: VarRef) -> int:
         return self._cols[v]
 
+    def __contains__(self, v: VarRef) -> bool:
+        return v in self._cols
+
     def sample_point(self, rng: random.Random) -> Dict[VarRef, Fraction]:
         """Random rational point; params nonzero; trig pairs via tan-half."""
         pt: Dict[VarRef, Fraction] = {}
@@ -107,9 +111,11 @@ class VectorField:
         self._key = None
 
     def key(self):
+        # (coordinate, Expr) pairs: an Expr caches its hash, so the key of a
+        # field hashes cheaply wherever it is looked up
         if self._key is None:
             items = sorted(self.coeffs.items(), key=lambda p: p[0].sort_key())
-            self._key = tuple((v, e._key) for v, e in items)
+            self._key = tuple(items)
         return self._key
 
     def is_zero(self) -> bool:
@@ -150,10 +156,20 @@ class VectorField:
                 out = out + e * phi.diff(v)
         return out
 
-    def eval_row(self, point: Dict[VarRef, Fraction]) -> List[Fraction]:
-        row = [Fraction(0)] * self.space.dim
+    def on(self, space: JetSpace) -> "VectorField":
+        """The field with these coefficients on `space`, which must have
+        every coordinate they involve."""
+        out = VectorField(space, {})
+        out.coeffs, out._key = self.coeffs, self.key()
+        return out
+
+    def eval_row(self, point: dict, field=None) -> List:
+        """The coefficients at `point`, in `field` (Q by default)."""
+        field = field or QQ
+        row = [field.zero] * self.space.dim
+        col = self.space.col
         for v, e in self.coeffs.items():
-            row[self.space.col(v)] = e.eval_at(point)
+            row[col(v)] = field.value(e, point)
         return row
 
     def render(self) -> str:
@@ -217,39 +233,106 @@ def ad_pow(v: VectorField, w: VectorField, k: int) -> VectorField:
 # ---------------------------------------------------------------------------
 # Rank machinery
 
+class RationalField:
+    """Q, exactly: Fraction entries, points of Fractions."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    @staticmethod
+    def value(e: Expr, point) -> Fraction:
+        return e.eval_at(point)
+
+    @staticmethod
+    def neg(a: Fraction) -> Fraction:
+        return -a
+
+    @staticmethod
+    def monic(row: List, pc: int) -> List:
+        s = 1 / row[pc]
+        return [a * s for a in row]
+
+    @staticmethod
+    def axpy(row: List, f, prow: List) -> List:
+        """row - f * prow; rows are sparse, so the columns prow leaves
+        unchanged are skipped."""
+        return [a - f * b if b else a for a, b in zip(row, prow)]
+
+
+class PrimeField:
+    """F_p for a prime p: int entries in [0, p), points of such ints.  The
+    image of a rational point (`point`) is exact wherever no denominator is
+    divisible by p, and there rank mod p never exceeds rank over Q."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def point(self, rational: Dict[VarRef, Fraction]) -> Dict[VarRef, int]:
+        return {v: fraction_mod(q, self.p) for v, q in rational.items()}
+
+    def value(self, e: Expr, point) -> int:
+        return e.eval_mod(point, self.p)
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def monic(self, row: List, pc: int) -> List:
+        p = self.p
+        s = pow(row[pc], -1, p)
+        return [a * s % p for a in row]
+
+    def axpy(self, row: List, f, prow: List) -> List:
+        p = self.p
+        return [(a - f * b) % p if b else a for a, b in zip(row, prow)]
+
+
+QQ = RationalField()
+# the sampled pass: a Mersenne prime keeps every entry a machine-size int
+FP = PrimeField(2 ** 61 - 1)
+
+
 def fraction_rank(rows: List[List[Fraction]]) -> int:
     return PointEchelon.of(rows).rank
 
 
 class PointEchelon:
-    """Incremental row echelon form over Q: the rank machinery of sampled
-    rank, membership probes at one sample point, and exact nullspaces."""
+    """Incremental row echelon form over `field` (Q by default), pivots
+    scaled to one: the rank machinery of sampled rank and membership
+    probes at one sample point (over F_p), and of exact nullspaces (over Q)."""
 
-    def __init__(self, point: Optional[Dict[VarRef, Fraction]] = None):
+    def __init__(self, point: Optional[dict] = None, field=QQ):
         self.point = point
-        self.rows: List[Tuple[int, List[Fraction]]] = []   # (pivot col, row)
+        self.field = field
+        self.rows: List[Tuple[int, List]] = []   # (pivot col, row)
 
     @classmethod
-    def of(cls, rows: Iterable[List[Fraction]],
-           point: Optional[Dict[VarRef, Fraction]] = None) -> "PointEchelon":
-        ech = cls(point)
+    def of(cls, rows: Iterable[List], point: Optional[dict] = None,
+           field=QQ) -> "PointEchelon":
+        ech = cls(point, field)
         for row in rows:
             ech.insert(row)
         return ech
 
-    def residual(self, row: List[Fraction]) -> Optional[List[Fraction]]:
+    def copy(self) -> "PointEchelon":
+        out = PointEchelon(self.point, self.field)
+        out.rows = list(self.rows)
+        return out
+
+    def residual(self, row: List) -> Optional[List]:
+        axpy = self.field.axpy
         for pc, prow in self.rows:
             if row[pc]:
-                f = row[pc] / prow[pc]
-                # rows are sparse: skip the columns prow leaves unchanged
-                row = [a - f * b if b else a for a, b in zip(row, prow)]
+                row = axpy(row, row[pc], prow)
         return row if any(row) else None
 
-    def insert(self, row: List[Fraction]) -> bool:
+    def insert(self, row: List) -> bool:
         res = self.residual(row)
         if res is None:
             return False
         pc = next(i for i, v in enumerate(res) if v)
+        if res[pc] != 1:
+            res = self.field.monic(res, pc)
         self.rows.append((pc, res))
         self.rows.sort(key=lambda p: p[0])
         return True
@@ -258,27 +341,25 @@ class PointEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def nullspace(self, ncols: int) -> List[List[Fraction]]:
+    def nullspace(self, ncols: int) -> List[List]:
         """Nullspace basis read off the reduced row echelon form, one vector
         per free column in column order."""
-        reduced: List[Tuple[int, List[Fraction]]] = []
+        field = self.field
+        reduced: List[Tuple[int, List]] = []
         for pc, row in reversed(self.rows):
-            pv = row[pc]
-            row = [a / pv for a in row]
             for qc, qrow in reduced:
-                f = row[qc]
-                if f:
-                    row = [a - f * b for a, b in zip(row, qrow)]
+                if row[qc]:
+                    row = field.axpy(row, row[qc], qrow)
             reduced.append((pc, row))
         pivots = {pc for pc, _ in reduced}
         basis = []
         for fc in range(ncols):
             if fc in pivots:
                 continue
-            vec = [Fraction(0)] * ncols
-            vec[fc] = Fraction(1)
+            vec = [field.zero] * ncols
+            vec[fc] = field.one
             for pc, row in reduced:
-                vec[pc] = -row[fc]
+                vec[pc] = field.neg(row[fc])
             basis.append(vec)
         return basis
 
@@ -343,8 +424,9 @@ class RankCertificate:
     rank: int
     sampled_rank: int
     symbolic_rank: Optional[int]
-    points: List[Dict[VarRef, Fraction]]
-    # the echelon of the generator rows at each of `points`, in order
+    # the sample points, mod p, and the F_p echelon of the generator rows
+    # at each of them, in order
+    points: List[Dict[VarRef, int]]
     echelons: List[PointEchelon]
     factors: List[Poly] = field(default_factory=list)
     base_point_rank: Optional[int] = None
@@ -476,24 +558,30 @@ def symbolic_rank(fields: Sequence[VectorField], space: JetSpace):
 def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
                  samples: int = 5, base_point: Optional[Dict[VarRef, Fraction]] = None,
                  symbolic: Optional[bool] = None) -> RankCertificate:
-    """Generic rank by exact evaluation at random rational points (max over
-    points), then `certify`: cross-checked by fraction-free elimination when
-    dim <= 12.  With symbolic=False and no base point, only the sampled pass."""
+    """Generic rank by evaluation at random rational points, taken mod
+    p = 2^61 - 1 (max over points), then `certify`: cross-checked by
+    fraction-free elimination when dim <= 12.  With symbolic=False and no
+    base point, only the sampled pass.
+
+    Rank mod p at a point never exceeds the rank over Q there, so a sampled
+    rank is a lower bound of the generic rank, as over Q; it falls short
+    only where p divides a nonzero minor, or where the point lies on the
+    zero set of one (Schwartz-Zippel)."""
     fields = [f for f in fields if not f.is_zero()]
     if not fields:
         return RankCertificate(0, 0, 0, [], [])
     rng = random.Random(_stable_seed(seed, fields))
-    points: List[Dict[VarRef, Fraction]] = []
+    points: List[Dict[VarRef, int]] = []
     echelons: List[PointEchelon] = []
     for _ in range(samples):
         for attempt in range(60):
-            pt = space.sample_point(rng)
+            pt = FP.point(space.sample_point(rng))
             try:
-                rows = [f.eval_row(pt) for f in fields]
+                rows = [f.eval_row(pt, FP) for f in fields]
             except DenominatorVanishes:
                 continue
             points.append(pt)
-            echelons.append(PointEchelon.of(rows, pt))
+            echelons.append(PointEchelon.of(rows, pt, FP))
             break
         else:
             raise SamplingExhausted("could not sample a denominator-avoiding point")
@@ -502,7 +590,7 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
 
 
 def certify(fields: Sequence[VectorField], space: JetSpace,
-            points: List[Dict[VarRef, Fraction]], echelons: List[PointEchelon],
+            points: List[Dict[VarRef, int]], echelons: List[PointEchelon],
             base_point: Optional[Dict[VarRef, Fraction]] = None,
             symbolic: Optional[bool] = None) -> RankCertificate:
     """The exact step of `generic_rank` on the sampled pass's own points:
@@ -589,18 +677,19 @@ class Distribution:
         probed = False
         for ech in self._echelons:
             try:
-                row = v.eval_row(ech.point)
+                row = v.eval_row(ech.point, ech.field)
             except DenominatorVanishes:
                 continue
             probed = True
             if ech.residual(row) is not None:
                 return False
         if not probed:
-            # every cached point hit a pole of v: certify from fresh points
+            # every cached point hit a pole of v: sample afresh, and compare
+            # sampled rank with sampled rank
             aug = generic_rank(self.generators + [v], self.space,
                                seed=self.seed + 1, samples=self.samples,
                                symbolic=False)
-            return aug.rank <= self.rank
+            return aug.sampled_rank <= self._sampled.sampled_rank
         return True
 
     def contains_certified(self, v: VectorField) -> bool:

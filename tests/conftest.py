@@ -40,6 +40,33 @@ def threeinput():
     return load_fixture("threeinput.flt")
 
 
+# -- widened driftless: decoupled integrators z' = v --------------------------
+
+DRIFTLESS_PLUS_Z = """system driftless_z
+state x1 x2 x3 x4 z
+input u1 u2 v
+dot x1 = u1
+dot x2 = x3*u1
+dot x3 = x4*u1
+dot x4 = u2
+dot z = v
+"""
+
+# two decoupled integrators: generator lists repeat across prolongations
+# whose jet spaces differ, so a list's home space is often not the capped
+# prolongation that asks
+DRIFTLESS_PLUS_Z2 = """system driftless_z2
+state x1 x2 x3 x4 z1 z2
+input u1 u2 v1 v2
+dot x1 = u1
+dot x2 = x3*u1
+dot x3 = x4*u1
+dot x4 = u2
+dot z1 = v1
+dot z2 = v2
+"""
+
+
 # -- randomized material -----------------------------------------------------
 
 def random_system(rng: random.Random, n_max: int = 4, m_max: int = 3,

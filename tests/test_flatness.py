@@ -17,7 +17,7 @@ from flatcheck.prolong import (build_prolonged, delta_filtration,
 from flatcheck.report import INF
 from flatcheck.sysdsl import parse_system
 
-from conftest import load_fixture
+from conftest import DRIFTLESS_PLUS_Z, DRIFTLESS_PLUS_Z2, load_fixture
 
 
 def double_integrator():
@@ -117,22 +117,11 @@ def test_gamma_invariant_matches_the_full_sweep_on_ps_j(chained, driftless, clm,
 
 # -- sharing and on-demand certification ---------------------------------------
 
-DRIFTLESS_PLUS_Z = """system driftless_z
-state x1 x2 x3 x4 z
-input u1 u2 v
-dot x1 = u1
-dot x2 = x3*u1
-dot x3 = x4*u1
-dot x4 = u2
-dot z = v
-"""
-
-
 def test_shared_verdicts_match_a_fresh_context_per_query(chained, driftless,
                                                          clm, pendulum,
                                                          threeinput):
     systems = (chained, driftless, clm, pendulum, threeinput,
-               parse_system(DRIFTLESS_PLUS_Z))
+               parse_system(DRIFTLESS_PLUS_Z), parse_system(DRIFTLESS_PLUS_Z2))
     for sysdef in systems:
         warm = Context(sysdef, Budgets())
         fresh = {}
@@ -151,6 +140,29 @@ def test_shared_verdicts_match_a_fresh_context_per_query(chained, driftless,
                         assert (ok, [_rendered(f) for f in fails]) == \
                             fresh[key], (sysdef.name, key)
         assert len(warm._inv_by_gens) < len(warm._inv), sysdef.name
+
+
+def test_gamma_failures_swept_on_a_home_space_match_a_fresh_context(chained,
+                                                                    clm):
+    # the involutivity checks run first, over the uncapped box, so a list's
+    # Gamma sweeps run on a home prolongation other than the (k+1)-capped
+    # one that asks, and some of them fail there
+    for sysdef in (chained, clm):
+        warm = Context(sysdef, Budgets())
+        away = 0
+        for k in range(1, 4):
+            box = sorted(itertools.product(range(0, 2 * k + 2),
+                                           repeat=sysdef.m), reverse=True)
+            for j in box:
+                warm.delta_involutive(j, k)
+            for j in box:
+                ok, fails = warm.gamma_invariant(j, k)
+                want_ok, want = Context(sysdef, Budgets()).gamma_invariant(j, k)
+                assert (ok, [_rendered(f) for f in fails]) == \
+                    (want_ok, [_rendered(f) for f in want]), (sysdef.name, j, k)
+                capped = warm.ps(tuple(min(jp, k + 1) for jp in j))
+                away += any(f[2].space != capped.space for f in fails)
+        assert away > 0, sysdef.name
 
 
 def test_certificates_are_computed_on_first_read(chained, driftless, clm,

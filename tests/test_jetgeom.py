@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flatcheck.expr import Expr, state_var
-from flatcheck.jetgeom import (Distribution, MultiIndex, PointEchelon,
+from flatcheck.jetgeom import (FP, Distribution, MultiIndex, PointEchelon,
                                SpaceMismatch, VectorField, ad_pow,
                                bracket_failures, fraction_rank, lie_bracket,
                                unit_field)
@@ -220,14 +220,16 @@ def test_bracket_failures_lazy_in_pair_order(chained):
 
 
 def test_membership_reuses_the_rank_sampling_echelons(chained, monkeypatch):
-    # generic_rank evaluates each generator once per sample point; membership
-    # probes evaluate only the probed field, against those same echelons
+    # generic_rank evaluates each generator once per sample point in F_p;
+    # membership probes evaluate only the probed field, against those same
+    # echelons
     calls = []
     orig = VectorField.eval_row
 
-    def counted(self, point):
-        calls.append(self)
-        return orig(self, point)
+    def counted(self, point, field=None):
+        if field is FP:
+            calls.append(self)
+        return orig(self, point, field)
 
     monkeypatch.setattr(VectorField, "eval_row", counted)
     ps = build_prolonged(chained, [1, 0])
@@ -238,13 +240,46 @@ def test_membership_reuses_the_rank_sampling_echelons(chained, monkeypatch):
     assert [e.point for e in cert.echelons] == cert.points
     assert max(e.rank for e in cert.echelons) == cert.sampled_rank
     for ech in cert.echelons:
-        fresh = PointEchelon.of([orig(g, ech.point) for g in gens])
+        fresh = PointEchelon.of([orig(g, ech.point, FP) for g in gens],
+                                field=FP)
         assert ech.rows == fresh.rows
     top = [e for e in cert.echelons if e.rank == cert.sampled_rank]
     del calls[:]
     probe = ps.g0 + ps.gi[0]     # members: every top echelon is probed
     assert dist.contains(probe) and dist.contains(ps.gi[1])
     assert calls == [probe] * len(top) + [ps.gi[1]] * len(top)
+
+
+def test_membership_at_poles_compares_sampled_ranks(chained, monkeypatch):
+    # v has a pole at every top echelon point, so no cached point can probe
+    # it: the fresh sampled rank of gens + [v] is compared with the
+    # distribution's sampled rank, and nothing is eliminated symbolically
+    from flatcheck import jetgeom
+    ps = build_prolonged(chained, [1, 0])
+    gens = [ps.g0] + ps.gi
+    dist = Distribution(ps.space, gens)
+    x1 = chained.state(1)
+    den = Expr.one()
+    for ech in dist._echelons:
+        den = den * (Expr.var(x1) - Expr.rational(ech.point[x1]))
+    pole = Expr.one() / den
+    member = ps.gi[0].scale(pole)
+    outsider = unit_field(ps.space, chained.state(2)).scale(pole)
+    symbolic, resampled = [], []
+    real = jetgeom.generic_rank
+
+    def counted(*args, **kwargs):
+        resampled.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jetgeom, "symbolic_rank",
+                        lambda *args: symbolic.append(args))
+    monkeypatch.setattr(jetgeom, "generic_rank", counted)
+    assert dist.contains(member)
+    assert not dist.contains(outsider)
+    assert len(resampled) == 2
+    assert symbolic == []
+    assert ps.space.dim <= 12
 
 
 def test_is_involutive_is_memoized(chained, monkeypatch):

@@ -9,9 +9,10 @@ from flatcheck.jetgeom import (MultiIndex, VectorField, ad_pow, lie_bracket,
 from flatcheck.prolong import (build_prolonged, delta_filtration,
                                delta_generators, g_filtration, g_stabilization,
                                gamma_coordinates, gamma_filtration)
-from flatcheck.sysdsl import SystemDef
+from flatcheck.flatness import Budgets, Context
+from flatcheck.sysdsl import SystemDef, parse_system
 
-from conftest import random_system
+from conftest import DRIFTLESS_PLUS_Z, random_system
 from paper_identities import (DomainError, PreconditionNotMet, ad_top,
                               bracket_comparison_check, decomposition_check,
                               gamma_field, gamma_rank_formula, gamma_sequence,
@@ -208,6 +209,62 @@ def test_gamma_invariance_reduces_to_the_k_plus_1_capped_prolongation(
                         d_c = unit_field(ps(j).space, c)
                         assert all(lie_bracket(d_c, g).is_zero()
                                    for g in gens), (j, k, c)
+
+
+def _link_systems(chained, driftless, clm, pendulum, threeinput):
+    return (chained, driftless, clm, pendulum, threeinput,
+            parse_system(DRIFTLESS_PLUS_Z))
+
+
+def _link_box(sysdef):
+    """(p, r, j) for r <= 3 and j in {0..r+1}^m."""
+    return [(p, r, j) for r in range(0, 4)
+            for j in itertools.product(range(0, r + 2), repeat=sysdef.m)
+            for p in range(1, sysdef.m + 1)]
+
+
+def test_chain_links_equal_their_cap_j_r_links(chained, driftless, clm,
+                                               pendulum, threeinput):
+    # ad_{g0}^r d/du_p^(0) has the same coefficients on X^(j) as on
+    # X^(min(j, r)), each prolongation bracketing its own chain
+    for sysdef in _link_systems(chained, driftless, clm, pendulum, threeinput):
+        systems = {}
+
+        def ps(j):
+            if j not in systems:
+                systems[j] = build_prolonged(sysdef, j)
+            return systems[j]
+
+        for p, r, j in _link_box(sysdef):
+            capped = tuple(min(jq, r) for jq in j)
+            assert ps(j).ad_u0(p, r).key() == ps(capped).ad_u0(p, r).key(), \
+                (sysdef.name, j, p, r)
+
+
+def test_context_brackets_each_chain_link_once(chained, driftless, clm,
+                                               pendulum, threeinput,
+                                               monkeypatch):
+    from flatcheck import prolong
+    brackets = []
+    orig = prolong.lie_bracket
+
+    def counted(v, w):
+        brackets.append((v, w))
+        return orig(v, w)
+
+    for sysdef in _link_systems(chained, driftless, clm, pendulum, threeinput):
+        ctx = Context(sysdef, Budgets())
+        box = _link_box(sysdef)
+        with monkeypatch.context() as patch:
+            patch.setattr(prolong, "lie_bracket", counted)
+            del brackets[:]
+            shared = [ctx.ps(j).ad_u0(p, r) for p, r, j in box]
+        links = {(p, s, tuple(min(jq, s) for jq in j))
+                 for p, r, j in box for s in range(1, r + 1)}
+        assert len(brackets) == len(links), sysdef.name
+        for (p, r, j), link in zip(box, shared):
+            assert link == build_prolonged(sysdef, j).ad_u0(p, r), \
+                (sysdef.name, j, p, r)
 
 
 # -- gamma sequence -----------------------------------------------------------

@@ -1,0 +1,69 @@
+"""Sampled rank and membership (over F_p) against sympy's exact rank of the
+coefficient matrix over the field of rational functions, on random small
+systems (skips when sympy is not installed)."""
+
+import itertools
+import random
+
+import pytest
+
+sp = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from flatcheck.expr import Expr  # noqa: E402
+from flatcheck.jetgeom import (Distribution, VectorField, generic_rank,  # noqa: E402
+                               lie_bracket)
+from flatcheck.prolong import build_prolonged, g_level_fields  # noqa: E402
+
+from conftest import random_field, random_system  # noqa: E402
+
+
+def _to_sympy(e, symbols):
+    def poly(p):
+        total = sp.Integer(0)
+        for mono, c in p.items():
+            term = sp.Rational(c.numerator, c.denominator)
+            for v, k in mono:
+                term *= symbols[v] ** k
+            total += term
+        return total
+    return poly(e.num) / poly(e.den)
+
+
+def _sympy_rank(fields, space, symbols):
+    if not fields:
+        return 0
+    matrix = sp.Matrix([[_to_sympy(f.coeff(c), symbols) for c in space.coords]
+                        for f in fields])
+    return DomainMatrix.from_Matrix(matrix).to_field().rank()
+
+
+def test_sampled_rank_and_membership_match_sympy():
+    rng = random.Random(2024)
+    verdicts = []
+    for _ in range(20):
+        sysdef = random_system(rng)
+        j = [rng.randint(0, 1) for _ in range(sysdef.m)]
+        ps = build_prolonged(sysdef, j)
+        space = ps.space
+        symbols = {v: sp.Symbol("c%d" % i) for i, v in enumerate(space.coords)}
+        gens = [g for r in range(2) for g in g_level_fields(ps, r)
+                if not g.is_zero()]
+        drawn = random_field(rng, space)
+        # a generator whose denominators differ by coordinate
+        mixed = VectorField(space, {
+            c: e / (Expr.var(rng.choice(space.coords)) + Expr.rational(i + 2))
+            for i, (c, e) in enumerate(drawn.coeffs.items())})
+        gens += [drawn, mixed]
+        rank = _sympy_rank(gens, space, symbols)
+        assert generic_rank(gens, space, symbolic=False).sampled_rank == rank
+        dist = Distribution(space, gens)
+        weight = Expr.var(rng.choice(space.coords)) + Expr.rational(2)
+        members = [gens[0].scale(weight) + drawn, mixed.scale(weight) + gens[0]]
+        brackets = [lie_bracket(a, b)
+                    for a, b in itertools.combinations(gens, 2)][:3]
+        for v in members + brackets + [random_field(rng, space)]:
+            want = _sympy_rank(gens + [v], space, symbols) == rank
+            assert dist.contains(v) == want, (sysdef.f, j, v)
+            verdicts.append(want)
+    assert len(verdicts) >= 60 and True in verdicts and False in verdicts
