@@ -15,8 +15,8 @@ from .expr import (DenominatorVanishes, Expr, VarRef, cos_var, mono_cmp,
                    mono_from, pconst, primitive_scale, render_expr,
                    render_poly, sin_var)
 from .jetgeom import (FP, Distribution, MultiIndex, PointEchelon, VectorField,
-                      _factor_polys, accumulate_factors, bracket_failures,
-                      generic_rank, lie_bracket, unit_field)
+                      _factor_polys, _same_space, accumulate_factors,
+                      bracket_failures, generic_rank, lie_bracket, unit_field)
 from .prolong import (ProlongedSystem, build_prolonged, delta_filtration,
                       delta_generators, g_filtration, g_level_fields,
                       g_stabilization, gamma_coordinates, gamma_filtration)
@@ -74,7 +74,8 @@ class Context:
     of the list run there, on the home space; a coordinate c that the home
     space lacks is one no generator involves, so every [d/dc, V] is zero.
     The chain links ad_{g0}^r d/du_p^(0) of every prolongation come from
-    one store (see `ProlongedSystem.ad_u0`)."""
+    one store (see `ProlongedSystem.ad_u0`), and the sweeps bracket each
+    distinct pair of fields once (`bracket`)."""
 
     def __init__(self, sysdef: SystemDef, budgets: Budgets):
         self.sysdef = sysdef
@@ -88,6 +89,8 @@ class Context:
         self._inv_by_gens: Dict[tuple, Tuple[bool, list]] = {}
         self._gam_by_gens: Dict[Tuple[tuple, VarRef], list] = {}
         self._home: Dict[tuple, Tuple[Tuple[int, ...], int]] = {}
+        self._brackets: Dict[tuple, VectorField] = {}
+        self._gamma_low: Dict[Tuple[int, int, int], List[VarRef]] = {}
         self.warnings: List[str] = []
 
     def ps(self, j) -> ProlongedSystem:
@@ -98,6 +101,19 @@ class Context:
                 samples=self.budgets.samples, base_point=self.base_point)
             ps.links = self._links
         return self._ps[key]
+
+    def bracket(self, a: VectorField, b: VectorField) -> VectorField:
+        """lie_bracket(a, b) on a's space, computed once per pair of
+        coefficient keys in this analysis.  This is exact: a bracket reads
+        only the two fields' coefficients and their derivatives, never the
+        jet space, so equal keys give equal brackets on every space that
+        has both fields."""
+        _same_space(a, b)
+        key = (a.key(), b.key())
+        br = self._brackets.get(key)
+        if br is None:
+            br = self._brackets[key] = lie_bracket(a, b)
+        return br.on(a.space)
 
     # involutivity of Delta_k^(j), incremental in k per j
     def delta_involutive(self, j: Tuple[int, ...], k: int):
@@ -126,7 +142,7 @@ class Context:
             old = set(delta_generators(ps, k - 1))
             pairs = [(a, b) for a, b in pairs if a not in old or b not in old]
             fails = [f for f in prev[1] if not dist.contains(f[2])]
-        fails.extend(bracket_failures(pairs, dist.contains))
+        fails.extend(bracket_failures(pairs, dist.contains, self.bracket))
         # pair order, as a full sweep finds them, so that a shared verdict
         # does not depend on which prolongation computed it
         pos = {g: i for i, g in enumerate(dist.generators)}
@@ -143,10 +159,22 @@ class Context:
         key = (j, k)
         if key not in self._gam:
             capped = _cap(j, k + 1)
-            fails = [f for c in gamma_coordinates(self.sysdef, j, k) if c.k < k
+            fails = [f for p, jp in enumerate(j, start=1)
+                     for c in self._gamma_coordinates_below(p, jp, k)
                      for f in self._gamma_failures(capped, k, c)]
             self._gam[key] = (not fails, fails)
         return self._gam[key]
+
+    def _gamma_coordinates_below(self, p: int, jp: int, k: int) -> List[VarRef]:
+        """Channel p's Gamma_k coordinates of order < k, by l: u_p^(s) for s
+        from min(j_p, k - 1) down to max(j_p - k, 1)."""
+        key = (p, jp, k)
+        coords = self._gamma_low.get(key)
+        if coords is None:
+            coords = self._gamma_low[key] = [
+                self.sysdef.input(p, s)
+                for s in range(min(jp, k - 1), max(jp - k, 1) - 1, -1)]
+        return coords
 
     def _gamma_failures(self, j: Tuple[int, ...], k: int, c: VarRef) -> list:
         key = (j, k, c)
@@ -160,7 +188,8 @@ class Context:
                 if c in dist.space:
                     dc = unit_field(dist.space, c)
                     fails = list(bracket_failures(
-                        ((dc, g) for g in dist.generators), dist.contains))
+                        ((dc, g) for g in dist.generators), dist.contains,
+                        self.bracket))
                 self._gam_by_gens[gkey, c] = fails
             self._gam_coord[key] = fails
         return self._gam_coord[key]
@@ -714,9 +743,8 @@ def _nullspace_candidates(ps: ProlongedSystem, kap: int, degree: int) -> List[Ex
     fields = []
     for r in range(0, kap - 1):
         fields.extend(g for g in g_level_fields(ps, r) if not g.is_zero())
-    # linear conditions: rows indexed by (field, result monomial)
-    rows: List[List[Fraction]] = []
-    row_index: Dict[tuple, int] = {}
+    # linear conditions: sparse rows indexed by (field, result monomial)
+    rows: Dict[tuple, Dict[int, Fraction]] = {}
     for fi, g in enumerate(fields):
         images = [g.apply(me) for me in mono_exprs]
         dens = []
@@ -732,14 +760,8 @@ def _nullspace_candidates(ps: ProlongedSystem, kap: int, degree: int) -> List[Ex
             se = e * scale
             assert se.den == pconst(1)
             for mono, coeff in se.num.items():
-                key = (fi, mono)
-                if key not in row_index:
-                    row_index[key] = len(rows)
-                    rows.append([Fraction(0)] * len(monos))
-                rows[row_index[key]][col] = coeff
-    ech = PointEchelon()
-    for row in rows:
-        ech.insert(row)
+                rows.setdefault((fi, mono), {})[col] = coeff
+    ech = PointEchelon.of(rows.values())
     out = []
     for vec in ech.nullspace(len(monos)):
         poly = {}

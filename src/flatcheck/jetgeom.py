@@ -3,6 +3,7 @@ generic rank with exact certificates, and involutivity."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import zlib
@@ -13,8 +14,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .expr import (Expr, Poly, VarRef, cos_var, mono_div, pconst, pdivexact,
                    pleading, pmonomial_content, pmul, primitive_scale, pscale,
                    psub, pvar, param_var, render_expr, render_poly, sin_var,
-                   tan_half_values, fraction_mod, DenominatorVanishes,
-                   MONO_ONE)
+                   DenominatorVanishes, MONO_ONE)
 
 
 class GeometryError(Exception):
@@ -81,19 +81,29 @@ class JetSpace:
     def __contains__(self, v: VarRef) -> bool:
         return v in self._cols
 
-    def sample_point(self, rng: random.Random) -> Dict[VarRef, Fraction]:
-        """Random rational point; params nonzero; trig pairs via tan-half."""
-        pt: Dict[VarRef, Fraction] = {}
+    def sample_point(self, rng: random.Random) -> Dict[VarRef, int]:
+        """Random point of F_p, p = FP.p: each value is the image of a
+        rational num/den, -20 <= num <= 20, 1 <= den <= 7; params nonzero;
+        trig pairs via tan-half, sin = 2t/(1+t^2), cos = (1-t^2)/(1+t^2),
+        whose denominator is never 0 mod p, as p = 3 mod 4 makes -1 a
+        non-square."""
+        p, inv = FP.p, _SMALL_INV
+        randint = rng.randint
+        pt: Dict[VarRef, int] = {}
         for v in self.coords:
-            pt[v] = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+            pt[v] = randint(-20, 20) * inv[randint(1, 7)] % p
         for v in self.params:
             num = 0
             while num == 0:
-                num = rng.randint(-20, 20)
-            pt[v] = Fraction(num, rng.randint(1, 7))
+                num = randint(-20, 20)
+            pt[v] = num * inv[randint(1, 7)] % p
         for b in self.trig_bases:
-            pt.update(tan_half_values(
-                b, Fraction(rng.randint(-20, 20), rng.randint(1, 7))))
+            t = randint(-20, 20) * inv[randint(1, 7)] % p
+            t2 = t * t % p
+            den = pow(1 + t2, -1, p)
+            pt[b] = t
+            pt[sin_var(b)] = 2 * t * den % p
+            pt[cos_var(b)] = (1 - t2) * den % p
         return pt
 
 
@@ -163,13 +173,16 @@ class VectorField:
         out.coeffs, out._key = self.coeffs, self.key()
         return out
 
-    def eval_row(self, point: dict, field=None) -> List:
-        """The coefficients at `point`, in `field` (Q by default)."""
+    def eval_row(self, point: dict, field=None) -> Dict[int, object]:
+        """The sparse row {column: coefficient} at `point`, nonzero entries
+        only, in `field` (Q by default)."""
         field = field or QQ
-        row = [field.zero] * self.space.dim
+        row = {}
         col = self.space.col
         for v, e in self.coeffs.items():
-            row[col(v)] = field.value(e, point)
+            a = field.value(e, point)
+            if a:
+                row[col(v)] = a
         return row
 
     def render(self) -> str:
@@ -247,29 +260,30 @@ class RationalField:
         return -a
 
     @staticmethod
-    def monic(row: List, pc: int) -> List:
+    def monic(row: Dict, pc: int) -> Dict:
         s = 1 / row[pc]
-        return [a * s for a in row]
+        return {c: a * s for c, a in row.items()}
 
     @staticmethod
-    def axpy(row: List, f, prow: List) -> List:
-        """row - f * prow; rows are sparse, so the columns prow leaves
-        unchanged are skipped."""
-        return [a - f * b if b else a for a, b in zip(row, prow)]
+    def axpy(row: Dict, f, prow: Dict):
+        """row -= f * prow in place, at prow's nonzero entries only."""
+        for c, b in prow.items():
+            a = row.get(c, 0) - f * b
+            if a:
+                row[c] = a
+            else:
+                del row[c]
 
 
 class PrimeField:
     """F_p for a prime p: int entries in [0, p), points of such ints.  The
-    image of a rational point (`point`) is exact wherever no denominator is
-    divisible by p, and there rank mod p never exceeds rank over Q."""
+    image of a rational point is exact wherever no denominator is divisible
+    by p, and there rank mod p never exceeds rank over Q."""
 
     zero, one = 0, 1
 
     def __init__(self, p: int):
         self.p = p
-
-    def point(self, rational: Dict[VarRef, Fraction]) -> Dict[VarRef, int]:
-        return {v: fraction_mod(q, self.p) for v, q in rational.items()}
 
     def value(self, e: Expr, point) -> int:
         return e.eval_mod(point, self.p)
@@ -277,37 +291,47 @@ class PrimeField:
     def neg(self, a: int) -> int:
         return -a % self.p
 
-    def monic(self, row: List, pc: int) -> List:
+    def monic(self, row: Dict, pc: int) -> Dict:
         p = self.p
         s = pow(row[pc], -1, p)
-        return [a * s % p for a in row]
+        return {c: a * s % p for c, a in row.items()}
 
-    def axpy(self, row: List, f, prow: List) -> List:
+    def axpy(self, row: Dict, f, prow: Dict):
+        """row -= f * prow in place, at prow's nonzero entries only."""
         p = self.p
-        return [(a - f * b) % p if b else a for a, b in zip(row, prow)]
+        for c, b in prow.items():
+            a = (row.get(c, 0) - f * b) % p
+            if a:
+                row[c] = a
+            else:
+                del row[c]
 
 
 QQ = RationalField()
 # the sampled pass: a Mersenne prime keeps every entry a machine-size int
 FP = PrimeField(2 ** 61 - 1)
+# 1/d mod p for the sample denominators d = 1..7
+_SMALL_INV = [0] + [pow(d, -1, FP.p) for d in range(1, 8)]
 
 
-def fraction_rank(rows: List[List[Fraction]]) -> int:
+def fraction_rank(rows: List[Dict[int, Fraction]]) -> int:
     return PointEchelon.of(rows).rank
 
 
 class PointEchelon:
-    """Incremental row echelon form over `field` (Q by default), pivots
-    scaled to one: the rank machinery of sampled rank and membership
-    probes at one sample point (over F_p), and of exact nullspaces (over Q)."""
+    """Incremental row echelon form over `field` (Q by default) of sparse
+    rows {column: nonzero entry}, pivots scaled to one: the rank machinery
+    of sampled rank and membership probes at one sample point (over F_p),
+    and of exact nullspaces (over Q).  Stored rows are never mutated, so
+    copies share them."""
 
     def __init__(self, point: Optional[dict] = None, field=QQ):
         self.point = point
         self.field = field
-        self.rows: List[Tuple[int, List]] = []   # (pivot col, row)
+        self.rows: List[Tuple[int, Dict]] = []   # (pivot col, row), by pivot
 
     @classmethod
-    def of(cls, rows: Iterable[List], point: Optional[dict] = None,
+    def of(cls, rows: Iterable[Dict], point: Optional[dict] = None,
            field=QQ) -> "PointEchelon":
         ech = cls(point, field)
         for row in rows:
@@ -319,22 +343,27 @@ class PointEchelon:
         out.rows = list(self.rows)
         return out
 
-    def residual(self, row: List) -> Optional[List]:
+    def residual(self, row: Dict) -> Optional[Dict]:
+        """`row` reduced at every pivot column, or None if that is zero."""
         axpy = self.field.axpy
+        owned = False
         for pc, prow in self.rows:
-            if row[pc]:
-                row = axpy(row, row[pc], prow)
-        return row if any(row) else None
+            f = row.get(pc)
+            if f:
+                if not owned:
+                    row, owned = dict(row), True
+                axpy(row, f, prow)
+        return row or None
 
-    def insert(self, row: List) -> bool:
+    def insert(self, row: Dict) -> bool:
         res = self.residual(row)
         if res is None:
             return False
-        pc = next(i for i, v in enumerate(res) if v)
+        pc = min(res)
         if res[pc] != 1:
             res = self.field.monic(res, pc)
-        self.rows.append((pc, res))
-        self.rows.sort(key=lambda p: p[0])
+        # pivots are distinct, so the tuples compare by pivot alone
+        bisect.insort(self.rows, (pc, res))
         return True
 
     @property
@@ -342,14 +371,16 @@ class PointEchelon:
         return len(self.rows)
 
     def nullspace(self, ncols: int) -> List[List]:
-        """Nullspace basis read off the reduced row echelon form, one vector
-        per free column in column order."""
+        """Nullspace basis read off the reduced row echelon form, one dense
+        vector per free column in column order."""
         field = self.field
-        reduced: List[Tuple[int, List]] = []
+        reduced: List[Tuple[int, Dict]] = []
         for pc, row in reversed(self.rows):
+            row = dict(row)
             for qc, qrow in reduced:
-                if row[qc]:
-                    row = field.axpy(row, row[qc], qrow)
+                f = row.get(qc)
+                if f:
+                    field.axpy(row, f, qrow)
             reduced.append((pc, row))
         pivots = {pc for pc, _ in reduced}
         basis = []
@@ -359,7 +390,9 @@ class PointEchelon:
             vec = [field.zero] * ncols
             vec[fc] = field.one
             for pc, row in reduced:
-                vec[pc] = field.neg(row[fc])
+                a = row.get(fc)
+                if a:
+                    vec[pc] = field.neg(a)
             basis.append(vec)
         return basis
 
@@ -575,7 +608,7 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
     echelons: List[PointEchelon] = []
     for _ in range(samples):
         for attempt in range(60):
-            pt = FP.point(space.sample_point(rng))
+            pt = space.sample_point(rng)
             try:
                 rows = [f.eval_row(pt, FP) for f in fields]
             except DenominatorVanishes:
@@ -745,10 +778,14 @@ class CoordinateSpan:
 
 
 def bracket_failures(pairs: Iterable[Tuple[VectorField, VectorField]],
-                     member: Callable[[VectorField], bool]):
+                     member: Callable[[VectorField], bool],
+                     bracket: Optional[Callable[[VectorField, VectorField],
+                                                VectorField]] = None):
     """Yield (a, b, [a, b]) for each nonzero bracket of the pairs that
-    `member` rejects, lazily and in pair order."""
+    `member` rejects, lazily and in pair order; `bracket` computes [a, b]
+    (`lie_bracket`, looked up at call time, by default)."""
+    bracket = bracket or lie_bracket
     for a, b in pairs:
-        br = lie_bracket(a, b)
+        br = bracket(a, b)
         if not br.is_zero() and not member(br):
             yield a, b, br

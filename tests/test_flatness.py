@@ -10,8 +10,9 @@ from flatcheck.flatness import (Budgets, CandidateCountMismatch, Context,
                                 cns_check, search_flat_outputs, sigma_delta,
                                 sigma_gamma_delta, static_linearizable,
                                 verify_flat_output)
-from flatcheck import jetgeom
-from flatcheck.jetgeom import MultiIndex, bracket_failures, generic_rank
+from flatcheck import flatness, jetgeom
+from flatcheck.jetgeom import (MultiIndex, SpaceMismatch, bracket_failures,
+                               generic_rank, lie_bracket, unit_field)
 from flatcheck.prolong import (build_prolonged, delta_filtration,
                                gamma_filtration)
 from flatcheck.report import INF
@@ -117,13 +118,32 @@ def test_gamma_invariant_matches_the_full_sweep_on_ps_j(chained, driftless, clm,
 
 # -- sharing and on-demand certification ---------------------------------------
 
+def _counted_brackets(monkeypatch):
+    """The key pairs of every lie_bracket that flatness calls from now on."""
+    calls = []
+    orig = flatness.lie_bracket
+
+    def counted(a, b):
+        calls.append((a.key(), b.key()))
+        return orig(a, b)
+
+    monkeypatch.setattr(flatness, "lie_bracket", counted)
+    return calls
+
+
 def test_shared_verdicts_match_a_fresh_context_per_query(chained, driftless,
                                                          clm, pendulum,
-                                                         threeinput):
+                                                         threeinput,
+                                                         monkeypatch):
+    # and the warm Context runs lie_bracket once per distinct key pair
+    calls = _counted_brackets(monkeypatch)
     systems = (chained, driftless, clm, pendulum, threeinput,
                parse_system(DRIFTLESS_PLUS_Z), parse_system(DRIFTLESS_PLUS_Z2))
     for sysdef in systems:
         warm = Context(sysdef, Budgets())
+        asked, warm_calls = [], []
+        memo = warm.bracket
+        warm.bracket = lambda a, b: asked.append((a, b)) or memo(a, b)
         fresh = {}
         for k in range(1, 4):
             for j in itertools.product(range(0, k + 2), repeat=sysdef.m):
@@ -136,10 +156,47 @@ def test_shared_verdicts_match_a_fresh_context_per_query(chained, driftless,
                             ok, fails = getattr(
                                 Context(sysdef, Budgets()), check)(j, kk)
                             fresh[key] = ok, [_rendered(f) for f in fails]
+                        before = len(calls)
                         ok, fails = getattr(warm, check)(j, kk)
+                        warm_calls.extend(calls[before:])
                         assert (ok, [_rendered(f) for f in fails]) == \
                             fresh[key], (sysdef.name, key)
         assert len(warm._inv_by_gens) < len(warm._inv), sysdef.name
+        assert len(warm_calls) == len(set(warm_calls)) == \
+            len(warm._brackets), sysdef.name
+        assert len(asked) > len(warm_calls), sysdef.name
+
+
+def test_context_bracket_is_lie_bracket_on_the_first_fields_space(chained):
+    ctx = Context(chained, Budgets())
+    small, big = ctx.ps((1, 0)), ctx.ps((3, 2))
+    fields = [small.g0] + small.gi + [unit_field(small.space, c)
+                                      for c in small.space.coords[:2]]
+    # g0 + g1 shares its leading coefficients with g0
+    fields += [lie_bracket(small.g0, small.gi[0]), small.g0 + small.gi[0]]
+    pairs = list(itertools.product(fields, repeat=2))
+    for a, b in pairs:
+        assert ctx.bracket(a, b) == lie_bracket(a, b)
+        # the same coefficients on a larger space: a memo hit, on that space
+        wide_a, wide_b = a.on(big.space), b.on(big.space)
+        br = ctx.bracket(wide_a, wide_b)
+        assert br == lie_bracket(wide_a, wide_b) and br.space == big.space
+        with pytest.raises(SpaceMismatch):
+            ctx.bracket(a, wide_b)
+    assert any(not lie_bracket(a, b).is_zero() for a, b in pairs)
+    assert len(ctx._brackets) == len({(a.key(), b.key()) for a, b in pairs})
+
+
+def test_a_new_context_starts_with_an_empty_bracket_memo(chained, monkeypatch):
+    calls = _counted_brackets(monkeypatch)
+    analyze(chained)
+    first = len(calls)
+    assert first > 0
+    assert Context(chained, Budgets())._brackets == {}
+    # a second analysis brackets as much as the first: nothing outlives one
+    del calls[:]
+    analyze(chained)
+    assert len(calls) == first
 
 
 def test_gamma_failures_swept_on_a_home_space_match_a_fresh_context(chained,

@@ -22,8 +22,14 @@ from flatcheck.jetgeom import FP, PointEchelon, fraction_rank  # noqa: E402
 ENTRY = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5))
 
 
+def _sparse(row):
+    return {c: a for c, a in enumerate(row) if a}
+
+
 def _mod(row):
-    return [fraction_mod(a, FP.p) for a in row]
+    """The image in F_p of a sparse rational row, zeros dropped."""
+    image = {c: fraction_mod(a, FP.p) for c, a in row.items()}
+    return {c: a for c, a in image.items() if a}
 
 
 @settings(max_examples=300, deadline=None)
@@ -40,6 +46,7 @@ def test_fp_echelon_rank_and_residual_match_q(data):
     else:
         probe = data.draw(row)
 
+    rows, probe = [_sparse(r) for r in rows], _sparse(probe)
     over_q = PointEchelon.of(rows)
     over_p = PointEchelon.of([_mod(r) for r in rows], field=FP)
     assert over_p.rank == over_q.rank == fraction_rank(rows)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatcheck.expr import Expr, state_var
+from flatcheck.expr import Expr, fraction_mod, state_var, tan_half_values
 from flatcheck.jetgeom import (FP, Distribution, MultiIndex, PointEchelon,
                                SpaceMismatch, VectorField, ad_pow,
                                bracket_failures, fraction_rank, lie_bracket,
@@ -182,13 +182,17 @@ def test_involutive_closure_budget(chained):
         involutive_closure(G1, max_iter=0)
 
 
+def _sparse(row):
+    return {c: a for c, a in enumerate(row) if a}
+
+
 def test_point_echelon_rank_and_rref_nullspace():
     F = Fraction
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(1), F(0), F(1)]]
-    assert fraction_rank(rows) == 2
+    assert fraction_rank([_sparse(r) for r in rows]) == 2
     ech = PointEchelon()
     for row in rows:
-        ech.insert(row)
+        ech.insert(_sparse(row))
     # RREF [[1, 0, 1], [0, 1, 1]]: one free column, entries read off exactly
     assert ech.nullspace(3) == [[F(-1), F(-1), F(1)]]
     assert PointEchelon().nullspace(2) == [[F(1), F(0)], [F(0), F(1)]]
@@ -199,9 +203,10 @@ def test_point_echelon_rank_and_rref_nullspace():
                 for _ in range(rng.randint(0, 6))]
         ech = PointEchelon()
         for row in rows:
-            ech.insert(row)
+            ech.insert(_sparse(row))
         basis = ech.nullspace(ncols)
-        assert len(basis) == ncols - fraction_rank(rows) == ncols - ech.rank
+        assert len(basis) == ncols - fraction_rank(
+            [_sparse(r) for r in rows]) == ncols - ech.rank
         for vec in basis:
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
 
@@ -299,6 +304,31 @@ def test_is_involutive_is_memoized(chained, monkeypatch):
     assert swept > 0 and not first[0]
     assert dist.is_involutive() is first
     assert len(brackets) == swept
+
+
+def test_sample_point_is_the_image_of_the_rational_draw(pendulum, chained):
+    # the same integer draws, in the same order, as the rational point
+    # num/den (params nonzero, trig pairs via tan-half), taken mod p
+    for sysdef in (pendulum, chained):
+        space = build_prolonged(sysdef, [1] * sysdef.m).space
+        assert sysdef is chained or (space.params and space.trig_bases)
+        for seed in range(20):
+            rng = random.Random(seed)
+            ref = {v: Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                   for v in space.coords}
+            for v in space.params:
+                num = 0
+                while num == 0:
+                    num = rng.randint(-20, 20)
+                ref[v] = Fraction(num, rng.randint(1, 7))
+            for b in space.trig_bases:
+                ref.update(tan_half_values(
+                    b, Fraction(rng.randint(-20, 20), rng.randint(1, 7))))
+            drawn = random.Random(seed)
+            pt = space.sample_point(drawn)
+            assert pt == {v: fraction_mod(q, FP.p) for v, q in ref.items()}
+            assert all(pt[v] for v in space.params)
+            assert drawn.random() == rng.random()     # as many draws
 
 
 def test_jet_space_columns_and_var_hash(chained):

@@ -1,9 +1,11 @@
 """Sampled rank and membership (over F_p) against sympy's exact rank of the
 coefficient matrix over the field of rational functions, on random small
-systems (skips when sympy is not installed)."""
+systems; and the sparse rational echelon against sympy's rank and nullspace
+(skips when sympy is not installed)."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +13,8 @@ sp = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from flatcheck.expr import Expr  # noqa: E402
-from flatcheck.jetgeom import (Distribution, VectorField, generic_rank,  # noqa: E402
-                               lie_bracket)
+from flatcheck.jetgeom import (Distribution, PointEchelon,  # noqa: E402
+                               VectorField, generic_rank, lie_bracket)
 from flatcheck.prolong import build_prolonged, g_level_fields  # noqa: E402
 
 from conftest import random_field, random_system  # noqa: E402
@@ -67,3 +69,29 @@ def test_sampled_rank_and_membership_match_sympy():
             assert dist.contains(v) == want, (sysdef.f, j, v)
             verdicts.append(want)
     assert len(verdicts) >= 60 and True in verdicts and False in verdicts
+
+
+def test_point_echelon_rank_and_nullspace_match_sympy():
+    # small rational matrices with some all-zero columns and some rows of
+    # one nonzero entry; the nullspace basis is read off the RREF in both,
+    # one vector per free column with that column set to one
+    rng = random.Random(11)
+    zero_cols = single_rows = 0
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        live = sorted(rng.sample(range(ncols), ncols - rng.randint(0, ncols // 2)))
+        zero_cols += ncols - len(live)
+        rows = []
+        for _ in range(nrows):
+            cols = [rng.choice(live)] if rng.random() < 0.3 else live
+            single_rows += len(cols) == 1
+            rows.append({c: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                     rng.randint(1, 3))
+                         for c in cols if len(cols) == 1 or rng.random() < 0.7})
+        ech = PointEchelon.of(rows)
+        matrix = sp.Matrix([[sp.Rational(r.get(c, 0)) for c in range(ncols)]
+                            for r in rows])
+        assert ech.rank == matrix.rank(), rows
+        assert [[sp.Rational(a) for a in vec] for vec in ech.nullspace(ncols)] \
+            == [list(vec) for vec in matrix.nullspace()], rows
+    assert zero_cols and single_rows
