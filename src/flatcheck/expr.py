@@ -714,41 +714,6 @@ class Expr:
             return peval_mod(self.num, assign, p)
         return peval_mod(self.num, assign, p) * pow(d, -1, p) % p
 
-    def substitute(self, bindings: Mapping[VarRef, "Expr"]) -> "Expr":
-        # trig bases may only be renamed to plain variables
-        renames = {}
-        general = {}
-        for v, e in bindings.items():
-            if v.is_trig():
-                raise UnsupportedTrigComposition("bind the base variable instead")
-            general[v] = e
-        present = self.free_vars()
-        for v in present:
-            if v.is_trig() and v.base in general:
-                target = general[v.base]
-                tv = _plain_var_of(target)
-                if tv is None:
-                    raise UnsupportedTrigComposition(
-                        "trig base may only be substituted by a plain variable")
-                renames[v] = Expr.var(sin_var(tv) if v.trig == SIN else cos_var(tv))
-        def convert(p: Poly) -> "Expr":
-            total = Expr.zero()
-            for m, c in p.items():
-                term = Expr.rational(c)
-                for var, e in m:
-                    if var in renames:
-                        rep = renames[var]
-                    elif var in general:
-                        rep = general[var]
-                    else:
-                        rep = Expr.var(var)
-                    term = term * rep ** e
-                total = total + term
-            return total
-        nn = convert(self.num)
-        dd = convert(self.den)
-        return nn / dd
-
     # -- identity
 
     def __eq__(self, other):

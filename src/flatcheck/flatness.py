@@ -19,7 +19,7 @@ from .jetgeom import (FP, Distribution, MultiIndex, PointEchelon, VectorField,
                       bracket_failures, generic_rank, lie_bracket, unit_field)
 from .prolong import (ProlongedSystem, build_prolonged, delta_filtration,
                       delta_generators, g_filtration, g_level_fields,
-                      g_stabilization, gamma_coordinates, gamma_filtration)
+                      g_stabilization, gamma_filtration)
 from .report import INF, AnalysisReport, InitTrace, SigmaStep
 from .sysdsl import DslError, SystemDef, _Parser, tokenize
 
@@ -57,25 +57,16 @@ class Budgets:
 # Analysis context: shared caches, deterministic under a fixed seed
 
 class Context:
-    """Shared caches of one analysis.  The sigma-search conditions are
-    memoized per (j, k) and, behind that, per Delta_k generator list: the
-    involutivity verdict by the list, the Gamma-coordinate failures by
-    (list, coordinate).  This is exact.  Involutivity of span{gens}, and
-    whether [d/dc, V] = dV/dc lies in it, depend only on the generators'
-    coefficients: two prolongations with the same list differ only in
-    coordinates that no generator involves, so every bracket is the same
-    field on both, and a larger prolongation only adds zero columns, which
-    change no rank.  A shared failure list may hold fields of another
-    prolongation's jet space; they are rendered, and the incremental check
-    reuses only failures on its own space.
-
-    For the same reason one Delta_k `Distribution` serves a generator list:
-    the one of the (j, k) that swept it first, its home.  The Gamma sweeps
-    of the list run there, on the home space; a coordinate c that the home
-    space lacks is one no generator involves, so every [d/dc, V] is zero.
-    The chain links ad_{g0}^r d/du_p^(0) of every prolongation come from
-    one store (see `ProlongedSystem.ad_u0`), and the sweeps bracket each
-    distinct pair of fields once (`bracket`)."""
+    """Shared caches of one analysis.  Both sigma-search conditions are
+    answered by one Delta_k `Distribution` per generator list, its home:
+    the one of the (j, k) that asked first.  This is exact: involutivity of
+    span{gens}, and whether [d/dc, V] = dV/dc lies in it, depend only on
+    the generators' coefficients, since prolongations with the same list
+    differ only in coordinates that no generator involves (zero columns,
+    which change no rank).  So a failure may hold fields of another
+    prolongation's jet space; it is only rendered.  The chain links come
+    from one store (see `ProlongedSystem.ad_u0`), and the sweeps bracket
+    each distinct pair of fields once (`bracket`)."""
 
     def __init__(self, sysdef: SystemDef, budgets: Budgets):
         self.sysdef = sysdef
@@ -83,12 +74,8 @@ class Context:
         self.base_point = sysdef.base_point().resolved()
         self._ps: Dict[Tuple[int, ...], ProlongedSystem] = {}
         self._links: Dict[tuple, VectorField] = {}
-        self._inv: Dict[Tuple[Tuple[int, ...], int], Tuple[bool, list]] = {}
-        self._gam: Dict[Tuple[Tuple[int, ...], int], Tuple[bool, list]] = {}
-        self._gam_coord: Dict[Tuple[Tuple[int, ...], int, VarRef], list] = {}
-        self._inv_by_gens: Dict[tuple, Tuple[bool, list]] = {}
-        self._gam_by_gens: Dict[Tuple[tuple, VarRef], list] = {}
-        self._home: Dict[tuple, Tuple[Tuple[int, ...], int]] = {}
+        self._delta: Dict[Tuple[Tuple[int, ...], int], Distribution] = {}
+        self._homes: Dict[tuple, Distribution] = {}
         self._brackets: Dict[tuple, VectorField] = {}
         self._gamma_low: Dict[Tuple[int, int, int], List[VarRef]] = {}
         self.warnings: List[str] = []
@@ -115,39 +102,24 @@ class Context:
             br = self._brackets[key] = lie_bracket(a, b)
         return br.on(a.space)
 
-    # involutivity of Delta_k^(j), incremental in k per j
-    def delta_involutive(self, j: Tuple[int, ...], k: int):
+    def home(self, j: Tuple[int, ...], k: int) -> Distribution:
+        """The home Delta_k `Distribution` of the generator list of
+        Delta_k^(j), built on ps(j) when the list is new."""
         key = (j, k)
-        if key not in self._inv:
+        dist = self._delta.get(key)
+        if dist is None:
             ps = self.ps(j)
             gkey = _generators_key(delta_generators(ps, k))
-            verdict = self._inv_by_gens.get(gkey)
-            if verdict is None:
-                self._home.setdefault(gkey, key)
-                verdict = self._inv_by_gens[gkey] = self._delta_sweep(j, k)
-            self._inv[key] = verdict
-        return self._inv[key]
+            dist = self._homes.get(gkey)
+            if dist is None:
+                dist = self._homes[gkey] = delta_filtration(ps, k)
+            self._delta[key] = dist
+        return dist
 
-    def _delta_sweep(self, j: Tuple[int, ...], k: int):
-        ps = self.ps(j)
-        dist = delta_filtration(ps, k)
-        pairs = itertools.combinations(dist.generators, 2)
-        fails = []
-        prev = self._inv.get((j, k - 1))
-        if prev is not None and all(f[2].space == ps.space for f in prev[1]):
-            # Delta is nested: only brackets touching new generators, plus the
-            # previous failures against the bigger span, need rechecking (a
-            # verdict shared from another prolongation may hold failures on
-            # its space: then the sweep is full)
-            old = set(delta_generators(ps, k - 1))
-            pairs = [(a, b) for a, b in pairs if a not in old or b not in old]
-            fails = [f for f in prev[1] if not dist.contains(f[2])]
-        fails.extend(bracket_failures(pairs, dist.contains, self.bracket))
-        # pair order, as a full sweep finds them, so that a shared verdict
-        # does not depend on which prolongation computed it
-        pos = {g: i for i, g in enumerate(dist.generators)}
-        fails.sort(key=lambda f: (pos[f[0]], pos[f[1]]))
-        return not fails, fails
+    def delta_involutive(self, j: Tuple[int, ...], k: int):
+        """(True, None), or (False, the first failing pair in generator-pair
+        order) for Delta_k^(j)."""
+        return self.home(j, k).is_involutive(self.bracket)
 
     # [Gamma_k, Delta_k] c Delta_k, one bracket sweep per Gamma coordinate
     def gamma_invariant(self, j: Tuple[int, ...], k: int):
@@ -155,15 +127,15 @@ class Context:
         has the generators of Delta_k^(min(j, k+1)), since channel p enters
         iff j_p <= k and ad_{g0}^r d/du_p^(0), r <= k, involves only u_q^(s)
         with s < k; so [d/dc, V] = dV/dc vanishes for every Gamma coordinate c
-        of order >= k.  Failures keep the order channel, l, generator."""
-        key = (j, k)
-        if key not in self._gam:
-            capped = _cap(j, k + 1)
-            fails = [f for p, jp in enumerate(j, start=1)
-                     for c in self._gamma_coordinates_below(p, jp, k)
-                     for f in self._gamma_failures(capped, k, c)]
-            self._gam[key] = (not fails, fails)
-        return self._gam[key]
+        of order >= k.  (True, None), or (False, the first failure in the
+        order channel, l, generator)."""
+        capped = _cap(j, k + 1)
+        for p, jp in enumerate(j, start=1):
+            for c in self._gamma_coordinates_below(p, jp, k):
+                fail = self.home(capped, k).coordinate_failure(c, self.bracket)
+                if fail is not None:
+                    return False, fail
+        return True, None
 
     def _gamma_coordinates_below(self, p: int, jp: int, k: int) -> List[VarRef]:
         """Channel p's Gamma_k coordinates of order < k, by l: u_p^(s) for s
@@ -175,24 +147,6 @@ class Context:
                 self.sysdef.input(p, s)
                 for s in range(min(jp, k - 1), max(jp - k, 1) - 1, -1)]
         return coords
-
-    def _gamma_failures(self, j: Tuple[int, ...], k: int, c: VarRef) -> list:
-        key = (j, k, c)
-        if key not in self._gam_coord:
-            gkey = _generators_key(delta_generators(self.ps(j), k))
-            fails = self._gam_by_gens.get((gkey, c))
-            if fails is None:
-                hj, hk = self._home.setdefault(gkey, (j, k))
-                dist = delta_filtration(self.ps(hj), hk)
-                fails = []
-                if c in dist.space:
-                    dc = unit_field(dist.space, c)
-                    fails = list(bracket_failures(
-                        ((dc, g) for g in dist.generators), dist.contains,
-                        self.bracket))
-                self._gam_by_gens[gkey, c] = fails
-            self._gam_coord[key] = fails
-        return self._gam_coord[key]
 
 
 def _generators_key(gens: Sequence[VectorField]) -> tuple:
@@ -232,7 +186,7 @@ def static_linearizable(sysdef: SystemDef, seed: int = 0, samples: int = 5,
     first_bad = None
     witness = None
     for k in range(0, kstar + 1):
-        ok, wit = g_filtration(ps0, k).is_involutive()
+        ok, wit = g_filtration(ps0, k).is_involutive(ctx.bracket)
         if not ok:
             all_inv = False
             first_bad, witness = k, wit
@@ -306,16 +260,15 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
         d_ranks.append(dist.rank)
         gam_ranks.append(gamma_filtration(ps, k).rank)
         g_ranks.append(gdist.rank)
-        inv_ok, inv_fails = ctx.delta_involutive(tuple(j), k)
-        gam_ok, gam_fails = ctx.gamma_invariant(tuple(j), k)
+        inv_ok, inv_fail = ctx.delta_involutive(tuple(j), k)
+        gam_ok, gam_fail = ctx.gamma_invariant(tuple(j), k)
         if not (inv_ok and gam_ok):
-            condition, fails = (("involutivity", inv_fails) if not inv_ok
-                                else ("gamma_invariance", gam_fails))
-            violation = {"condition": condition, "k": k,
-                         **_rendered(fails[0])}
+            condition, fail = (("involutivity", inv_fail) if not inv_ok
+                               else ("gamma_invariance", gam_fail))
+            violation = {"condition": condition, "k": k, **_rendered(fail)}
             return CnsResult(False, violation, None, d_ranks, gam_ranks,
                              g_ranks, cross_ok, [])
-        g_inv, _ = gdist.is_involutive()
+        g_inv, _ = gdist.is_involutive(ctx.bracket)
         if not g_inv:
             cross_ok = False
         if k > 0 and g_ranks[-1] == g_ranks[-2]:
@@ -333,9 +286,10 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
     else:
         if g_ranks[kstar] != full:
             cross_ok = False
-        violation = _certify_conditions(ps, kstar)
+        violation = _certify_conditions(ctx, tuple(j), kstar)
     factors: List[str] = []
-    for dist in ps._dist_cache.values():
+    # Delta_0.., then G_0..: not the order the sigma search built them in
+    for _, dist in sorted(ps._dist_cache.items()):
         for s in dist.certificate.factor_strings():
             if s not in factors:
                 factors.append(s)
@@ -343,9 +297,11 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
                      gam_ranks, g_ranks, cross_ok, factors)
 
 
-def _certify_conditions(ps: ProlongedSystem, kstar: int) -> Optional[dict]:
-    """Re-run every membership of a passing verdict through the symbolic
+def _certify_conditions(ctx: Context, j: Tuple[int, ...],
+                        kstar: int) -> Optional[dict]:
+    """Re-run every membership of a passing verdict at j through the symbolic
     elimination (exact, not sampled) wherever that path is available."""
+    ps = ctx.ps(j)
     for k in range(0, kstar + 1):
         dist = delta_filtration(ps, k)
         if dist.certificate.symbolic_rank is None:
@@ -353,15 +309,18 @@ def _certify_conditions(ps: ProlongedSystem, kstar: int) -> Optional[dict]:
         member = dist.contains_certified
         condition = "involutivity"
         fail = next(bracket_failures(
-            itertools.combinations(dist.generators, 2), member), None)
+            itertools.combinations(dist.generators, 2), member, ctx.bracket),
+            None)
         if fail is None:
             # only Gamma coordinates of order < k can bracket to nonzero
             # (see Context.gamma_invariant)
             condition = "gamma_invariance"
             gammas = [unit_field(ps.space, c)
-                      for c in gamma_coordinates(ps.sysdef, ps.j, k) if c.k < k]
+                      for p, jp in enumerate(j, start=1)
+                      for c in ctx._gamma_coordinates_below(p, jp, k)]
             fail = next(bracket_failures(
-                itertools.product(gammas, dist.generators), member), None)
+                itertools.product(gammas, dist.generators), member,
+                ctx.bracket), None)
         if fail is not None:
             return {"condition": condition, "k": k, "certified": True,
                     **_rendered(fail)}
@@ -388,10 +347,11 @@ class Initialization:
 
 def _h1_distribution(ctx: Context, kept: Sequence[int]) -> Distribution:
     ps0 = ctx.ps((0,) * ctx.sysdef.m)
+    level1 = g_level_fields(ps0, 1)
     gens: List[VectorField] = []
     for p in kept:
         gens.append(ps0.gi[p - 1])
-        gens.append(lie_bracket(ps0.g0, ps0.gi[p - 1]))
+        gens.append(level1[p - 1])
     return Distribution(ps0.space, gens, seed=ctx.budgets.seed,
                         samples=ctx.budgets.samples)
 
@@ -583,10 +543,10 @@ class SigmaRun:
     def _record_noninvolutive_witness(self, k: int, box: int):
         for t in sorted(self._tuples(box)):
             jf = _embed(self.init, self.m, _cap(t, k + 1))
-            ok, fails = self.ctx.delta_involutive(jf, k)
+            ok, fail = self.ctx.delta_involutive(jf, k)
             if not ok:
                 self.witnesses.append({"l": list(jf), "k": k,
-                                       **_rendered(fails[0])})
+                                       **_rendered(fail)})
                 if len(self.witnesses) >= 3:
                     return
 
@@ -602,7 +562,7 @@ def enumerate_initializations(ctx: Context) -> List[Initialization]:
     out: List[Initialization] = []
     for size in range(1, m):
         for kept in itertools.combinations(range(1, m + 1), size):
-            ok, _ = _h1_distribution(ctx, kept).is_involutive()
+            ok, _ = _h1_distribution(ctx, kept).is_involutive(ctx.bracket)
             if not ok:
                 continue
             out.append(Initialization(kept, "standard"))
@@ -983,7 +943,7 @@ def _flag_base_point(ctx: Context, ps: ProlongedSystem, factors: List[str]):
         if val == 0:
             ctx.warnings.append("singular factor %s vanishes at the base point" % s)
     dropped = []
-    for key, dist in ps._dist_cache.items():
+    for key, dist in sorted(ps._dist_cache.items()):
         cert = dist.certificate
         if cert.base_point_drop:
             dropped.append("%s_%s" % (key[0], key[1]))

@@ -686,6 +686,7 @@ class Distribution:
         self._echelons = [ech for ech in self._sampled.echelons
                           if ech.rank == best]
         self._involutive: Optional[tuple] = None
+        self._coordinate_failures: Dict[VarRef, Optional[tuple]] = {}
 
     @property
     def certificate(self) -> RankCertificate:
@@ -735,15 +736,28 @@ class Distribution:
         aug, _ = symbolic_rank(self.generators + [v], self.space)
         return aug <= self.certificate.symbolic_rank
 
-    def is_involutive(self):
+    def is_involutive(self, bracket=None):
         """(True, None) or (False, (g_a, g_b, [g_a, g_b])) with the first
-        failing pair in deterministic generator order; memoized."""
+        failing pair in generator order, bracketed by `bracket` as in
+        `bracket_failures`; memoized."""
         if self._involutive is None:
             fail = next(bracket_failures(
-                itertools.combinations(self.generators, 2), self.contains),
-                None)
+                itertools.combinations(self.generators, 2), self.contains,
+                bracket), None)
             self._involutive = (fail is None, fail)
         return self._involutive
+
+    def coordinate_failure(self, c: VarRef, bracket=None) -> Optional[tuple]:
+        """The first (d/dc, g, [d/dc, g]) over the generators g, in order,
+        that leaves the span, or None (always when the space lacks c: then
+        no generator involves c); memoized per c."""
+        if c not in self._coordinate_failures:
+            pairs = (itertools.product([unit_field(self.space, c)],
+                                       self.generators)
+                     if c in self.space else ())
+            self._coordinate_failures[c] = next(bracket_failures(
+                pairs, self.contains, bracket), None)
+        return self._coordinate_failures[c]
 
 
 class CoordinateSpan:

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from flatcheck.expr import (DenominatorVanishes, DivisionByZero, Expr,
-                            UnsupportedTrigComposition, cos_var, input_var,
-                            param_var, render_expr, sin_var, state_var)
+                            cos_var, input_var, param_var, render_expr,
+                            sin_var, state_var)
 
 X1 = state_var(1, "x1")
 X2 = state_var(2, "x2")
@@ -144,30 +144,6 @@ def test_eval_denominator_vanishes():
     e = x1 / x2
     with pytest.raises(DenominatorVanishes):
         e.eval_at({X1: Fraction(1), X2: Fraction(0)})
-
-
-# -- substitution -------------------------------------------------------------
-
-def test_substitute_identity():
-    e = x1 * x2 + u1
-    assert e.substitute({X1: x1}) == e
-
-
-def test_substitute_zero():
-    assert (x1 * x2).substitute({X1: Expr.zero()}).is_zero()
-
-
-def test_substitute_expansion():
-    x4 = Expr.var(state_var(9, "x4"))
-    assert (x3 * u2).substitute({U2: x4}) == x3 * Expr.var(state_var(9, "x4"))
-
-
-def test_substitute_trig_base_rename_only():
-    phi = state_var(5, "phi")
-    renamed = s.substitute({TH: Expr.var(phi)})
-    assert renamed == Expr.var(sin_var(phi))
-    with pytest.raises(UnsupportedTrigComposition):
-        s.substitute({TH: x1 + x2})
 
 
 # -- algebraic properties -----------------------------------------------------
