@@ -10,8 +10,8 @@ from .prolong import (ProlongedSystem, build_prolonged, delta_filtration,
                       g_filtration, gamma_filtration)
 from .flatness import (Budgets, CandidateCountMismatch, NotLinearizable,
                        analyze, brunovsky_indices, cns_check,
-                       search_flat_outputs, sigma_delta, sigma_gamma_delta,
-                       static_linearizable, verify_flat_output)
+                       search_flat_outputs, static_linearizable,
+                       verify_flat_output)
 from .report import AnalysisReport
 from .sysdsl import (DslError, DuplicateEquation,
                      HigherInputDerivativeInDrift, MissingEquation,

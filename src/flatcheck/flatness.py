@@ -6,20 +6,22 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
-from .expr import (DenominatorVanishes, Expr, VarRef, cos_var, mono_cmp,
-                   mono_from, pconst, primitive_scale, render_expr,
+from .expr import (UDERIV, DenominatorVanishes, Expr, VarRef, cos_var,
+                   mono_cmp, mono_from, pconst, primitive_scale, render_expr,
                    render_poly, sin_var)
-from .jetgeom import (FP, Distribution, MultiIndex, PointEchelon, VectorField,
-                      _factor_polys, _same_space, accumulate_factors,
-                      bracket_failures, generic_rank, lie_bracket, unit_field)
-from .prolong import (ProlongedSystem, build_prolonged, delta_filtration,
-                      delta_generators, g_filtration, g_level_fields,
-                      g_stabilization, gamma_filtration)
+from .jetgeom import (FP, SYMBOLIC_MAX_DIM, Distribution, JetSpace,
+                      MultiIndex, PointEchelon, RankCertificate, SamplePoints,
+                      VectorField, _factor_polys, _same_space,
+                      accumulate_factors, bracket_failures, generic_rank,
+                      lie_bracket, unit_field)
+from .prolong import (ProlongedSystem, build_prolonged, build_space,
+                      g_filtration, g_level_fields, g_stabilization,
+                      gamma_coordinates, gamma_filtration)
 from .report import INF, AnalysisReport, InitTrace, SigmaStep
 from .sysdsl import DslError, SystemDef, _Parser, tokenize
 
@@ -57,37 +59,60 @@ class Budgets:
 # Analysis context: shared caches, deterministic under a fixed seed
 
 class Context:
-    """Shared caches of one analysis.  Both sigma-search conditions are
-    answered by one Delta_k `Distribution` per generator list, its home:
-    the one of the (j, k) that asked first.  This is exact: involutivity of
-    span{gens}, and whether [d/dc, V] = dV/dc lies in it, depend only on
-    the generators' coefficients, since prolongations with the same list
-    differ only in coordinates that no generator involves (zero columns,
-    which change no rank).  So a failure may hold fields of another
-    prolongation's jet space; it is only rendered.  The chain links come
-    from one store (see `ProlongedSystem.ad_u0`), and the sweeps bracket
-    each distinct pair of fields once (`bracket`)."""
+    """Shared caches of one analysis.  Both sigma-search conditions on
+    Delta_k^(j) are answered by one `Distribution` per generator list, its
+    home, built without a prolonged system:
+
+    - The chain links ad_{g0}^r d/du_p^(0) come from one store, each with an
+      id.  Link r has the id of the bracket of link r - 1 with the drift
+      terms u_q^(t+1) d/du_q^(t) of X^(j) at the coordinates u_q^(t) that
+      link r - 1's coefficients involve.  This is exact: [g0, L] reads g0
+      only there and at f d/dx, when L points in x-directions or is
+      d/du_p^(0).  Each link is bracketed once, through `bracket`, and links
+      with equal coefficients share an id.
+    - Delta_k^(j) has the generators of Delta_k^(cap(j, k+1)) (see
+      `gamma_invariant`), so its home is keyed by that list of link ids and
+      lives on X^(cap(j, k+1)).  Involutivity of span{gens}, and whether
+      [d/dc, V] = dV/dc lies in it, depend only on the generators'
+      coefficients, so a failure may hold fields of another prolongation's
+      jet space; it is only rendered.
+    - Every home samples at the shared `points`, so a field's row at a point
+      is evaluated once per analysis."""
 
     def __init__(self, sysdef: SystemDef, budgets: Budgets):
         self.sysdef = sysdef
         self.budgets = budgets
         self.base_point = sysdef.base_point().resolved()
+        self.points = SamplePoints(budgets.seed)
         self._ps: Dict[Tuple[int, ...], ProlongedSystem] = {}
-        self._links: Dict[tuple, VectorField] = {}
+        self._spaces: Dict[Tuple[int, ...], JetSpace] = {}
+        # chain links by id, with the (q, t) of the u_q^(t) they involve
+        self._links: List[VectorField] = []
+        self._link_us: List[Tuple[Tuple[int, int], ...]] = []
+        self._link_ids: Dict[tuple, int] = {}
+        # (link id, drift terms (q, t) it meets) -> id of the next link
+        self._link_next: Dict[tuple, int] = {}
         self._delta: Dict[Tuple[Tuple[int, ...], int], Distribution] = {}
-        self._homes: Dict[tuple, Distribution] = {}
+        self._homes: Dict[Tuple[int, ...], Distribution] = {}
         self._brackets: Dict[tuple, VectorField] = {}
         self._gamma_low: Dict[Tuple[int, int, int], List[VarRef]] = {}
         self.warnings: List[str] = []
+        x0 = self.space((0,) * sysdef.m)
+        self._unit_links = [self._link_id(unit_field(x0, sysdef.input(p, 0)))
+                            for p in range(1, sysdef.m + 1)]
 
     def ps(self, j) -> ProlongedSystem:
         key = tuple(j)
         if key not in self._ps:
-            ps = self._ps[key] = build_prolonged(
+            self._ps[key] = build_prolonged(
                 self.sysdef, MultiIndex(j), seed=self.budgets.seed,
                 samples=self.budgets.samples, base_point=self.base_point)
-            ps.links = self._links
         return self._ps[key]
+
+    def space(self, j: Tuple[int, ...]) -> JetSpace:
+        if j not in self._spaces:
+            self._spaces[j] = build_space(self.sysdef, MultiIndex(j))
+        return self._spaces[j]
 
     def bracket(self, a: VectorField, b: VectorField) -> VectorField:
         """lie_bracket(a, b) on a's space, computed once per pair of
@@ -102,19 +127,62 @@ class Context:
             br = self._brackets[key] = lie_bracket(a, b)
         return br.on(a.space)
 
+    def _link_id(self, link: VectorField) -> int:
+        lid = self._link_ids.get(link.key())
+        if lid is None:
+            lid = self._link_ids[link.key()] = len(self._links)
+            self._links.append(link)
+            self._link_us.append(tuple(sorted(
+                {(v.i, v.k) for e in link.coeffs.values()
+                 for v in e.free_base_vars() if v.kind == UDERIV})))
+        return lid
+
+    def links(self, p: int, r: int, j: Tuple[int, ...]) -> List[int]:
+        """The ids of ad_{g0}^s d/du_p^(0) on X^(j), s = 0..r."""
+        sysdef = self.sysdef
+        lid = self._unit_links[p - 1]
+        out = [lid]
+        for s in range(1, r + 1):
+            drift = tuple(qt for qt in self._link_us[lid] if qt[1] < j[qt[0] - 1])
+            key = (lid, drift)
+            nxt = self._link_next.get(key)
+            if nxt is None:
+                space = self.space(_cap(j, s))
+                coeffs = {sysdef.state(i): f_i
+                          for i, f_i in enumerate(sysdef.f, start=1)}
+                for q, t in drift:
+                    coeffs[sysdef.input(q, t)] = Expr.var(sysdef.input(q, t + 1))
+                nxt = self._link_next[key] = self._link_id(self.bracket(
+                    VectorField(space, coeffs), self._links[lid].on(space)))
+            lid = nxt
+            out.append(lid)
+        return out
+
     def home(self, j: Tuple[int, ...], k: int) -> Distribution:
         """The home Delta_k `Distribution` of the generator list of
-        Delta_k^(j), built on ps(j) when the list is new."""
-        key = (j, k)
-        dist = self._delta.get(key)
+        Delta_k^(j), in `delta_generators` order, built on X^(cap(j, k+1))
+        when the list is new."""
+        capped = _cap(j, k + 1)
+        dist = self._delta.get((capped, k))
         if dist is None:
-            ps = self.ps(j)
-            gkey = _generators_key(delta_generators(ps, k))
-            dist = self._homes.get(gkey)
+            ids = tuple(lid for p, jp in enumerate(capped, start=1)
+                        if jp <= k for lid in self.links(p, k - jp, capped)
+                        if not self._links[lid].is_zero())
+            dist = self._homes.get(ids)
             if dist is None:
-                dist = self._homes[gkey] = delta_filtration(ps, k)
-            self._delta[key] = dist
+                space = self.space(capped)
+                dist = self._homes[ids] = Distribution(
+                    space, [self._links[lid].on(space) for lid in ids],
+                    seed=self.budgets.seed, samples=self.budgets.samples,
+                    base_point=self.base_point, points=self.points)
+            self._delta[capped, k] = dist
         return dist
+
+    def delta_certificate(self, j: Tuple[int, ...], k: int) -> RankCertificate:
+        """The certificate of Delta_k^(j), with the fraction-free elimination
+        wherever X^(j) has dim <= SYMBOLIC_MAX_DIM."""
+        dim = self.sysdef.n + self.sysdef.m + sum(j)
+        return self.home(j, k).certified(dim <= SYMBOLIC_MAX_DIM)
 
     def delta_involutive(self, j: Tuple[int, ...], k: int):
         """(True, None), or (False, the first failing pair in generator-pair
@@ -123,23 +191,23 @@ class Context:
 
     # [Gamma_k, Delta_k] c Delta_k, one bracket sweep per Gamma coordinate
     def gamma_invariant(self, j: Tuple[int, ...], k: int):
-        """Checked on the (k+1)-capped prolongation, and exactly so: Delta_k^(j)
+        """Checked on the home of Delta_k^(j), and exactly so: Delta_k^(j)
         has the generators of Delta_k^(min(j, k+1)), since channel p enters
         iff j_p <= k and ad_{g0}^r d/du_p^(0), r <= k, involves only u_q^(s)
         with s < k; so [d/dc, V] = dV/dc vanishes for every Gamma coordinate c
         of order >= k.  (True, None), or (False, the first failure in the
         order channel, l, generator)."""
-        capped = _cap(j, k + 1)
+        home = self.home(j, k)
         for p, jp in enumerate(j, start=1):
             for c in self._gamma_coordinates_below(p, jp, k):
-                fail = self.home(capped, k).coordinate_failure(c, self.bracket)
+                fail = home.coordinate_failure(c, self.bracket)
                 if fail is not None:
                     return False, fail
         return True, None
 
     def _gamma_coordinates_below(self, p: int, jp: int, k: int) -> List[VarRef]:
         """Channel p's Gamma_k coordinates of order < k, by l: u_p^(s) for s
-        from min(j_p, k - 1) down to max(j_p - k, 1)."""
+        from min(j_p, k - 1) down to max(j_p - k, 1); none when j_p >= 2k."""
         key = (p, jp, k)
         coords = self._gamma_low.get(key)
         if coords is None:
@@ -147,12 +215,6 @@ class Context:
                 self.sysdef.input(p, s)
                 for s in range(min(jp, k - 1), max(jp - k, 1) - 1, -1)]
         return coords
-
-
-def _generators_key(gens: Sequence[VectorField]) -> tuple:
-    """The nonzero generators by coefficients, in order: what a Delta_k
-    verdict depends on."""
-    return tuple(g.key() for g in gens if not g.is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +293,10 @@ class CnsResult:
     g_ranks: List[int]
     cross_check_agrees: bool
     factors: List[str]
+    # ("Delta_k" or "G_k", certificate) of every filtration step checked at
+    # j, Delta_0.. then G_0..
+    certificates: List[Tuple[str, RankCertificate]] = field(
+        default_factory=list)
 
 
 def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
@@ -248,6 +314,8 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
     n, m = sysdef.n, sysdef.m
     cap = n + j.total
     full = n + m + j.total
+    d_certs: List[RankCertificate] = []
+    g_certs: List[RankCertificate] = []
     d_ranks: List[int] = []
     g_ranks: List[int] = []
     gam_ranks: List[int] = []
@@ -255,9 +323,10 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
     k = 0
     kstar = None
     while k <= cap + 1:
-        dist = delta_filtration(ps, k)
         gdist = g_filtration(ps, k)
-        d_ranks.append(dist.rank)
+        d_certs.append(ctx.delta_certificate(tuple(j), k))
+        g_certs.append(gdist.certificate)
+        d_ranks.append(d_certs[-1].rank)
         gam_ranks.append(gamma_filtration(ps, k).rank)
         g_ranks.append(gdist.rank)
         inv_ok, inv_fail = ctx.delta_involutive(tuple(j), k)
@@ -287,37 +356,39 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
         if g_ranks[kstar] != full:
             cross_ok = False
         violation = _certify_conditions(ctx, tuple(j), kstar)
+    certs = [("Delta_%d" % i, c) for i, c in enumerate(d_certs)] + \
+        [("G_%d" % i, c) for i, c in enumerate(g_certs)]
     factors: List[str] = []
-    # Delta_0.., then G_0..: not the order the sigma search built them in
-    for _, dist in sorted(ps._dist_cache.items()):
-        for s in dist.certificate.factor_strings():
+    for _, cert in certs:
+        for s in cert.factor_strings():
             if s not in factors:
                 factors.append(s)
     return CnsResult(violation is None, violation, kstar, d_ranks,
-                     gam_ranks, g_ranks, cross_ok, factors)
+                     gam_ranks, g_ranks, cross_ok, factors, certs)
 
 
 def _certify_conditions(ctx: Context, j: Tuple[int, ...],
                         kstar: int) -> Optional[dict]:
     """Re-run every membership of a passing verdict at j through the symbolic
-    elimination (exact, not sampled) wherever that path is available."""
-    ps = ctx.ps(j)
+    elimination (exact, not sampled) wherever that path is available: when
+    X^(j) has dim <= SYMBOLIC_MAX_DIM."""
+    if ctx.ps(j).space.dim > SYMBOLIC_MAX_DIM:
+        return None
     for k in range(0, kstar + 1):
-        dist = delta_filtration(ps, k)
-        if dist.certificate.symbolic_rank is None:
-            continue
+        dist = ctx.home(j, k)
         member = dist.contains_certified
         condition = "involutivity"
         fail = next(bracket_failures(
             itertools.combinations(dist.generators, 2), member, ctx.bracket),
             None)
         if fail is None:
-            # only Gamma coordinates of order < k can bracket to nonzero
-            # (see Context.gamma_invariant)
+            # only Gamma coordinates of order < k can bracket to nonzero,
+            # and only those on the home space (see Context.gamma_invariant)
             condition = "gamma_invariance"
-            gammas = [unit_field(ps.space, c)
+            gammas = [unit_field(dist.space, c)
                       for p, jp in enumerate(j, start=1)
-                      for c in ctx._gamma_coordinates_below(p, jp, k)]
+                      for c in ctx._gamma_coordinates_below(p, jp, k)
+                      if c in dist.space]
             fail = next(bracket_failures(
                 itertools.product(gammas, dist.generators), member,
                 ctx.bracket), None)
@@ -364,7 +435,7 @@ def _embed(init: Initialization, m: int, assign: Tuple[int, ...]) -> Tuple[int, 
 
 
 def _cap(assign: Tuple[int, ...], cap: int) -> Tuple[int, ...]:
-    return tuple(min(a, cap) for a in assign)
+    return tuple([a if a < cap else cap for a in assign])
 
 
 def _box_limit(k: int, user: Optional[int] = None) -> int:
@@ -374,10 +445,10 @@ def _box_limit(k: int, user: Optional[int] = None) -> int:
     return base
 
 
-def _cmin(tuples: List[Tuple[int, ...]], width: int) -> Tuple:
+def _cmin(tuples: Collection[Tuple[int, ...]], width: int) -> Tuple:
     if not tuples:
         return (INF,) * width
-    return tuple(min(t[i] for t in tuples) for i in range(width))
+    return tuple(map(min, zip(*tuples)))
 
 
 def _smallest(tuples: List[Tuple[int, ...]]) -> Tuple[int, ...]:
@@ -413,23 +484,46 @@ class SigmaRun:
         self.failure_note: Optional[str] = None
         self.witnesses: List[dict] = []
         self.last_bound: Optional[Tuple[int, ...]] = None
+        # verdicts by (the part of the tuple the check reads, k)
+        self._delta_seen: Dict[Tuple[Tuple[int, ...], int], bool] = {}
+        self._gamma_seen: Dict[Tuple[Tuple[int, ...], int], bool] = {}
+        # tuple -> (last step it survived, whether it failed the next one)
+        self._carried: Dict[Tuple[int, ...], Tuple[int, bool]] = {}
 
     def _tuples(self, box: int) -> List[Tuple[int, ...]]:
         return list(itertools.product(range(1, box + 1), repeat=self.width))
 
     def _delta_ok(self, assign: Tuple[int, ...], k: int) -> bool:
-        capped = _cap(assign, k + 1)
-        ok, _ = self.ctx.delta_involutive(_embed(self.init, self.m, capped), k)
+        # Delta_k^(l) has the generators of Delta_k^(cap(l, k+1))
+        key = (_cap(assign, k + 1), k)
+        ok = self._delta_seen.get(key)
+        if ok is None:
+            ok = self._delta_seen[key] = self.ctx.delta_involutive(
+                _embed(self.init, self.m, key[0]), k)[0]
         return ok
 
     def _gamma_ok(self, assign: Tuple[int, ...], k: int) -> bool:
-        ok, _ = self.ctx.gamma_invariant(_embed(self.init, self.m, assign), k)
+        # a channel with l_p >= 2k has no Gamma coordinate of order < k, and
+        # capping it at 2k >= k + 1 keeps Delta_k
+        key = (_cap(assign, 2 * k), k)
+        ok = self._gamma_seen.get(key)
+        if ok is None:
+            ok = self._gamma_seen[key] = self.ctx.gamma_invariant(
+                _embed(self.init, self.m, key[0]), k)[0]
         return ok
 
-    def _survivors(self, box: int, upto_k: int) -> List[Tuple[int, ...]]:
-        return [t for t in self._tuples(box)
-                if all(self._delta_ok(t, k) and self._gamma_ok(t, k)
-                       for k in range(1, upto_k + 1))]
+    def _survived(self, assign: Tuple[int, ...], k: int) -> bool:
+        """Whether the tuple satisfies both conditions at every step 1..k,
+        carrying forward in k the last step it survived."""
+        last, failed = self._carried.get(assign, (0, False))
+        while last < k and not failed:
+            if self._delta_ok(assign, last + 1) and \
+                    self._gamma_ok(assign, last + 1):
+                last += 1
+            else:
+                failed = True
+        self._carried[assign] = (last, failed)
+        return last >= k
 
     def _step0(self):
         # k = 0: both conditions hold for every l (coordinate fields); the
@@ -454,12 +548,12 @@ class SigmaRun:
         tuples = self._tuples(box)
         s_delta = {t for t in tuples if self._delta_ok(t, k)}
         s_gamma = {t for t in tuples if self._gamma_ok(t, k)}
-        prior = set(self._survivors(box, k - 1))
+        prior = {t for t in tuples if self._survived(t, k - 1)}
         surv = sorted(prior & s_delta & s_gamma)
         # reported sigma: literal componentwise min, masked to 0 when the
         # condition eliminates nothing that everything else allows
-        lit_d = _cmin(sorted(s_delta), self.width)
-        lit_g = _cmin(sorted(s_gamma), self.width)
+        lit_d = _cmin(s_delta, self.width)
+        lit_g = _cmin(s_gamma, self.width)
         rep_d = (0,) * self.width if (prior & s_gamma) <= s_delta else lit_d
         rep_g = (0,) * self.width if (prior & s_delta) <= s_gamma else lit_g
         witness = None
@@ -471,6 +565,13 @@ class SigmaRun:
         return s_delta, surv
 
     def run(self, best_total: Optional[int] = None):
+        try:
+            return self._search(best_total)
+        finally:
+            # the verdict memos and the carried survivors serve one search
+            self._delta_seen, self._gamma_seen, self._carried = {}, {}, {}
+
+    def _search(self, best_total: Optional[int]):
         ctx, init = self.ctx, self.init
         sysdef = ctx.sysdef
         n, m = sysdef.n, sysdef.m
@@ -515,9 +616,8 @@ class SigmaRun:
                 self.outcome = "budget"
                 self.failure_note = "max_prolong exhausted"
                 return self
-            ps = ctx.ps(jf)
-            dr = delta_filtration(ps, k).rank
-            gr = gamma_filtration(ps, k).rank
+            dr = ctx.delta_certificate(jf, k).rank
+            gr = len(gamma_coordinates(sysdef, jf, k))
             state = (cand, dr, gr)
             if state == prev_state:
                 stable += 1
@@ -569,27 +669,6 @@ def enumerate_initializations(ctx: Context) -> List[Initialization]:
             if eager_admissible(ctx, kept):
                 out.append(Initialization(kept, "eager"))
     return out
-
-
-def sigma_delta(sysdef: SystemDef, init: Initialization, k: int,
-                box_limit: Optional[int] = None, ctx: Optional[Context] = None):
-    """Reported sigma_Delta(k) for one initialization (see SigmaRun)."""
-    return _sigma_step(sysdef, init, k, box_limit, ctx).sigma_delta
-
-
-def sigma_gamma_delta(sysdef: SystemDef, init: Initialization, k: int,
-                      box_limit: Optional[int] = None,
-                      ctx: Optional[Context] = None):
-    return _sigma_step(sysdef, init, k, box_limit, ctx).sigma_gamma_delta
-
-
-def _sigma_step(sysdef, init, k, box_limit, ctx) -> SigmaStep:
-    """Step k of the recursion, the user box applying at k only."""
-    run = SigmaRun(ctx or Context(sysdef, Budgets()), init)
-    run._step0()
-    for kk in range(1, k + 1):
-        run.step(kk, _box_limit(kk, box_limit if kk == k else None))
-    return run.steps[k]
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +998,7 @@ def _flat_report(ctx: Context, j: MultiIndex, res: CnsResult,
             for s in cert.get("factors", []):
                 if s not in factors:
                     factors.append(s)
-    _flag_base_point(ctx, ps, factors)
+    _flag_base_point(ctx, ps, res, factors)
     _, perm = j.sorted_permutation()
     if note:
         ctx.warnings.append(note)
@@ -931,7 +1010,8 @@ def _flat_report(ctx: Context, j: MultiIndex, res: CnsResult,
         system=sysdef.name, warnings=ctx.warnings)
 
 
-def _flag_base_point(ctx: Context, ps: ProlongedSystem, factors: List[str]):
+def _flag_base_point(ctx: Context, ps: ProlongedSystem, res: CnsResult,
+                     factors: List[str]):
     base = dict(ctx.base_point)
     for v in ps.space.coords:
         base.setdefault(v, Fraction(0))
@@ -942,11 +1022,8 @@ def _flag_base_point(ctx: Context, ps: ProlongedSystem, factors: List[str]):
             continue
         if val == 0:
             ctx.warnings.append("singular factor %s vanishes at the base point" % s)
-    dropped = []
-    for key, dist in sorted(ps._dist_cache.items()):
-        cert = dist.certificate
-        if cert.base_point_drop:
-            dropped.append("%s_%s" % (key[0], key[1]))
+    dropped = [name for name, cert in res.certificates
+               if cert.base_point_drop]
     if dropped:
         ctx.warnings.append(
             "verdict is generic: rank drops at the base point for " +

@@ -9,12 +9,13 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from .expr import (Expr, Poly, VarRef, cos_var, mono_div, pconst, pdivexact,
-                   pleading, pmonomial_content, pmul, primitive_scale, pscale,
-                   psub, pvar, param_var, render_expr, render_poly, sin_var,
-                   DenominatorVanishes, MONO_ONE)
+from .expr import (PARAM, SIN, Expr, Poly, VarRef, cos_var, mono_div, pconst,
+                   pdivexact, pleading, pmonomial_content, pmul,
+                   primitive_scale, pscale, psub, pvar, param_var, render_expr,
+                   render_poly, sin_var, DenominatorVanishes, MONO_ONE)
 
 
 class GeometryError(Exception):
@@ -210,7 +211,7 @@ class VectorField:
 
 
 def _same_space(a: VectorField, b: VectorField):
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise SpaceMismatch("vector fields live on different jet spaces")
 
 
@@ -312,6 +313,103 @@ QQ = RationalField()
 FP = PrimeField(2 ** 61 - 1)
 # 1/d mod p for the sample denominators d = 1..7
 _SMALL_INV = [0] + [pow(d, -1, FP.p) for d in range(1, 8)]
+# fraction-free elimination runs by default on jet spaces up to this dim
+SYMBOLIC_MAX_DIM = 12
+
+
+class _SharedPoint(dict):
+    """Point `index` of a `SamplePoints`: a variable's value mod p is drawn
+    on its first read from (seed, index, variable), with the draws and the
+    trig pairs of `JetSpace.sample_point`."""
+
+    __slots__ = ("seed", "index")
+
+    def __init__(self, seed: int, index: int):
+        super().__init__()
+        self.seed, self.index = seed, index
+
+    def __missing__(self, v: VarRef) -> int:
+        p = FP.p
+        if v.is_trig():
+            t = self[v.base]
+            t2 = t * t % p
+            den = pow(1 + t2, -1, p)
+            val = (2 * t if v.trig == SIN else 1 - t2) * den % p
+        else:
+            tag = ("%d|%r" % (self.index, v.skey)).encode()
+            rng = random.Random((self.seed & 0xFFFFFFFF) * 0x10001
+                                + zlib.crc32(tag))
+            num = rng.randint(-20, 20)
+            while num == 0 and v.kind == PARAM:
+                num = rng.randint(-20, 20)
+            val = num * _SMALL_INV[rng.randint(1, 7)] % p
+        self[v] = val
+        return val
+
+
+class SamplePoints:
+    """The sample points of one analysis, shared by the distributions that
+    take them.  Point i gives each variable the value drawn from (seed, i,
+    variable), so one point restricts to every jet space; the row of a field
+    at a point is computed once, over columns numbered per variable on first
+    sight.  It refers to no distribution, so sharing it makes no cycle."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._points: List[_SharedPoint] = []
+        self._cols: Dict[VarRef, int] = {}
+        # (field key, point index) -> row, or None at a pole of the field
+        self._rows: Dict[tuple, Optional[Dict[int, int]]] = {}
+
+    def point(self, i: int) -> _SharedPoint:
+        while len(self._points) <= i:
+            self._points.append(_SharedPoint(self.seed, len(self._points)))
+        return self._points[i]
+
+    def row(self, v: VectorField, point: _SharedPoint) -> Dict[int, int]:
+        """The sparse row of v at `point` over F_p; DenominatorVanishes at a
+        pole of v."""
+        key = (v.key(), point.index)
+        if key not in self._rows:
+            cols, p, row = self._cols, FP.p, {}
+            try:
+                for c, e in v.coeffs.items():
+                    a = e.eval_mod(point, p)
+                    if a:
+                        row[cols.setdefault(c, len(cols))] = a
+            except DenominatorVanishes:
+                row = None
+            self._rows[key] = row
+        row = self._rows[key]
+        if row is None:
+            raise DenominatorVanishes(point)
+        return row
+
+    def echelons(self, fields: Sequence[VectorField],
+                 samples: int) -> List[PointEchelon]:
+        return _sample_echelons(fields, samples,
+                                map(self.point, itertools.count()), self.row)
+
+
+def _sample_echelons(fields: Sequence[VectorField], samples: int,
+                     points: Iterator[dict],
+                     row: Callable[[VectorField, dict], Dict[int, int]]
+                     ) -> List[PointEchelon]:
+    """The F_p echelons of the fields' rows at the first `samples` of
+    `points` where none of them has a pole, drawing at most 60 points for
+    each."""
+    out: List[PointEchelon] = []
+    for _ in range(samples):
+        for _attempt, pt in zip(range(60), points):
+            try:
+                rows = [row(f, pt) for f in fields]
+            except DenominatorVanishes:
+                continue
+            out.append(PointEchelon.of(rows, pt, FP))
+            break
+        else:
+            raise SamplingExhausted("could not sample a denominator-avoiding point")
+    return out
 
 
 def fraction_rank(rows: List[Dict[int, Fraction]]) -> int:
@@ -604,22 +702,11 @@ def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
     if not fields:
         return RankCertificate(0, 0, 0, [], [])
     rng = random.Random(_stable_seed(seed, fields))
-    points: List[Dict[VarRef, int]] = []
-    echelons: List[PointEchelon] = []
-    for _ in range(samples):
-        for attempt in range(60):
-            pt = space.sample_point(rng)
-            try:
-                rows = [f.eval_row(pt, FP) for f in fields]
-            except DenominatorVanishes:
-                continue
-            points.append(pt)
-            echelons.append(PointEchelon.of(rows, pt, FP))
-            break
-        else:
-            raise SamplingExhausted("could not sample a denominator-avoiding point")
-    return certify(fields, space, points, echelons, base_point=base_point,
-                   symbolic=symbolic)
+    echelons = _sample_echelons(fields, samples,
+                                iter(lambda: space.sample_point(rng), None),
+                                lambda f, pt: f.eval_row(pt, FP))
+    return certify(fields, space, [e.point for e in echelons], echelons,
+                   base_point=base_point, symbolic=symbolic)
 
 
 def certify(fields: Sequence[VectorField], space: JetSpace,
@@ -635,7 +722,7 @@ def certify(fields: Sequence[VectorField], space: JetSpace,
     sym_rank = None
     factors: List[Poly] = []
     if symbolic is None:
-        symbolic = space.dim <= 12
+        symbolic = space.dim <= SYMBOLIC_MAX_DIM
     if symbolic:
         sym_rank, factors = symbolic_rank(fields, space)
     rank = sym_rank if sym_rank is not None else sampled
@@ -660,13 +747,15 @@ def certify(fields: Sequence[VectorField], space: JetSpace,
 
 class Distribution:
     """Finite-generator distribution.  The rank-sampling echelons are built
-    with it and serve membership and involutivity; the exact certificate
-    (Bareiss elimination, base-point rank) is computed on the first read of
-    `rank`, `certificate` or `contains_certified`."""
+    with it and serve membership and involutivity: at points drawn on its
+    space from its generators, or at the shared `points` of an analysis.
+    The exact certificate (Bareiss elimination, base-point rank) is computed
+    on the first read of `rank`, `certificate` or `certified`."""
 
     def __init__(self, space: JetSpace, generators: Sequence[VectorField],
                  seed: int = 0, samples: int = 5,
-                 base_point: Optional[Dict[VarRef, Fraction]] = None):
+                 base_point: Optional[Dict[VarRef, Fraction]] = None,
+                 points: Optional[SamplePoints] = None):
         gens = []
         for g in generators:
             if g.space != space:
@@ -678,9 +767,15 @@ class Distribution:
         self.seed = seed
         self.samples = samples
         self._base_point = base_point
-        self._sampled = generic_rank(gens, space, seed=seed, samples=samples,
-                                     symbolic=False)
-        self._certificate: Optional[RankCertificate] = None
+        self._points = points
+        if points is None:
+            self._sampled = generic_rank(gens, space, seed=seed,
+                                         samples=samples, symbolic=False)
+        else:
+            echs = points.echelons(gens, samples)
+            self._sampled = certify(gens, space, [e.point for e in echs],
+                                    echs, symbolic=False)
+        self._certificates: Dict[bool, RankCertificate] = {}
         best = self._sampled.sampled_rank
         # membership probes reduce against the echelons of the top-rank points
         self._echelons = [ech for ech in self._sampled.echelons
@@ -688,17 +783,30 @@ class Distribution:
         self._involutive: Optional[tuple] = None
         self._coordinate_failures: Dict[VarRef, Optional[tuple]] = {}
 
+    def certified(self, symbolic: bool) -> RankCertificate:
+        """The certificate with (or without) the fraction-free elimination,
+        computed once per choice.  Neither depends on the space beyond the
+        coordinates the generators involve, so one distribution certifies
+        for every prolongation that has its generators."""
+        if symbolic not in self._certificates:
+            self._certificates[symbolic] = certify(
+                self.generators, self.space, self._sampled.points,
+                self._sampled.echelons, base_point=self._base_point,
+                symbolic=symbolic)
+        return self._certificates[symbolic]
+
     @property
     def certificate(self) -> RankCertificate:
-        if self._certificate is None:
-            self._certificate = certify(
-                self.generators, self.space, self._sampled.points,
-                self._sampled.echelons, base_point=self._base_point)
-        return self._certificate
+        return self.certified(self.space.dim <= SYMBOLIC_MAX_DIM)
 
     @property
     def rank(self) -> int:
         return self.certificate.rank
+
+    def _row(self, v: VectorField, point) -> Dict[int, int]:
+        if self._points is None:
+            return v.eval_row(point, FP)
+        return self._points.row(v, point)
 
     def contains(self, v: VectorField) -> bool:
         """True iff adjoining v does not raise the generic rank."""
@@ -711,7 +819,7 @@ class Distribution:
         probed = False
         for ech in self._echelons:
             try:
-                row = v.eval_row(ech.point, ech.field)
+                row = self._row(v, ech.point)
             except DenominatorVanishes:
                 continue
             probed = True
@@ -727,14 +835,11 @@ class Distribution:
         return True
 
     def contains_certified(self, v: VectorField) -> bool:
-        """Membership with the symbolic elimination as the authority when it
-        ran for this distribution; falls back to the sampled test."""
+        """Membership decided by the symbolic elimination, not sampled."""
         if v.is_zero():
             return True
-        if self.certificate.symbolic_rank is None:
-            return self.contains(v)
         aug, _ = symbolic_rank(self.generators + [v], self.space)
-        return aug <= self.certificate.symbolic_rank
+        return aug <= self.certified(True).symbolic_rank
 
     def is_involutive(self, bracket=None):
         """(True, None) or (False, (g_a, g_b, [g_a, g_b])) with the first
@@ -761,9 +866,9 @@ class Distribution:
 
 
 class CoordinateSpan:
-    """The span of the coordinate fields d/dc, c in `coords`: rank and
-    membership are exact, so nothing is sampled.  Offers the read side of
-    `Distribution`: generators, rank, certificate, membership, involutivity."""
+    """The span of the coordinate fields d/dc, c in `coords`: its rank is
+    exact, so nothing is sampled.  Offers the rank side of `Distribution`:
+    generators, rank, certificate."""
 
     def __init__(self, space: JetSpace, coords: Iterable[VarRef]):
         coords = list(dict.fromkeys(coords))
@@ -778,17 +883,6 @@ class CoordinateSpan:
     @property
     def rank(self) -> int:
         return self.certificate.rank
-
-    def contains(self, v: VectorField) -> bool:
-        """True iff every component of v lies on a spanning coordinate."""
-        if v.is_zero():
-            return True
-        if v.space != self.space:
-            raise SpaceMismatch("field on the wrong jet space")
-        return self.coords.issuperset(v.coeffs)
-
-    def is_involutive(self):
-        return True, None        # coordinate fields commute
 
 
 def bracket_failures(pairs: Iterable[Tuple[VectorField, VectorField]],

@@ -46,32 +46,21 @@ class ProlongedSystem:
         self._ad_u0: Dict[int, List[VectorField]] = {}
         self._g_levels: List[List[VectorField]] = []
         self._dist_cache: Dict[Tuple[str, int], Distribution] = {}
-        # chain links by (p, r, cap(j, r)); an analysis Context puts in one
-        # store shared by all its prolongations
-        self.links: Dict[tuple, VectorField] = {}
 
     # -- memoized adjoint chains
 
     def ad_u0(self, p: int, r: int) -> VectorField:
-        """ad_{g0}^r d/du_p^(0).  It has the coefficients it has on
-        X^(cap(j, r)), cap(j, r) = min(j, r) per channel, so a link is looked
-        up in `links` by (p, r, cap(j, r)) before it is bracketed.  By
-        induction on r: for r >= 1 the link points only in x-directions and
-        its coefficients involve only x and u_q^(s) with s <= r - 1.  So the
-        next bracket uses only the drift terms u_q^(s+1) d/du_q^(s) with
-        s < r, which X^(j) has iff j_q > s, and so does X^(cap(j, r + 1)).
-        """
+        """ad_{g0}^r d/du_p^(0).  By induction on r: for r >= 1 it points
+        only in x-directions and its coefficients involve only x and u_q^(s)
+        with s <= r - 1, so it has the coefficients it has on X^(cap(j, r)),
+        cap(j, r) = min(j, r) per channel (an analysis `Context` keeps one
+        store of these links for all prolongations)."""
         chain = self._ad_u0.get(p)
         if chain is None:
             chain = self._ad_u0[p] = [unit_field(self.space,
                                                  self.sysdef.input(p, 0))]
         while len(chain) <= r:
-            s = len(chain)
-            key = (p, s, tuple(min(jq, s) for jq in self.j))
-            link = self.links.get(key)
-            if link is None:
-                link = self.links[key] = lie_bracket(self.g0, chain[-1])
-            chain.append(link.on(self.space))
+            chain.append(lie_bracket(self.g0, chain[-1]))
         return chain[r]
 
     def _distribution(self, key, gens) -> Distribution:

@@ -1,3 +1,4 @@
+import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,11 +9,29 @@ from flatcheck.expr import Expr
 from flatcheck.jetgeom import VectorField
 from flatcheck.sysdsl import SystemDef, parse_system
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def load_fixture(name: str) -> SystemDef:
     return parse_system((FIXTURES / name).read_text())
+
+
+def load_workloads():
+    """perfbench/workloads.py: the benchmark's systems as .flt text."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def widened_fixture(name: str, extra: int) -> SystemDef:
+    """A fixture plus `extra` decoupled integrators z' = v, as the
+    benchmark's wide_inputs workload builds it."""
+    wl = load_workloads()
+    return parse_system(wl.widened_text(wl.fixture_text(str(ROOT), name),
+                                        extra))
 
 
 @pytest.fixture(scope="session")

@@ -4,18 +4,25 @@ The analyzer never calls these: they restate what the paper proves about
 prolonged systems (the adjoint chains of the prolonged input fields, the
 gamma vector recursion, the G = Gamma (+) Delta decomposition, the
 comparison with the unprolonged brackets) so that the tests can check the
-filtrations that `flatcheck` computes against them.
+filtrations that `flatcheck` computes against them.  They also hold the
+reported sigma values of one step of the recursion, the membership and
+involutivity of a coordinate span, and the sigma search's former survivor
+sweep, which re-checks every earlier k.
 """
 
 import itertools
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from flatcheck.expr import UDERIV, Expr, VarRef
-from flatcheck.jetgeom import (Distribution, JetSpace, MultiIndex, VectorField,
-                               ad_pow, bracket_failures, unit_field)
+from flatcheck.flatness import (Budgets, Context, Initialization, SigmaRun,
+                                _box_limit, _embed)
+from flatcheck.jetgeom import (CoordinateSpan, Distribution, JetSpace,
+                               MultiIndex, SpaceMismatch, VectorField, ad_pow,
+                               bracket_failures, unit_field)
 from flatcheck.prolong import (ProlongedSystem, build_prolonged,
                                delta_filtration, g_filtration, g_stabilization,
                                gamma_filtration)
+from flatcheck.report import SigmaStep
 from flatcheck.sysdsl import SystemDef
 
 
@@ -202,3 +209,59 @@ def bracket_comparison_check(sysdef: SystemDef, j, i: int, nu: int,
     lifted = [lift_field(g, ps.space)
               for g in g_filtration(ps0, depth).generators]
     return Distribution(ps.space, lifted, seed=seed).contains(diff)
+
+
+# ---------------------------------------------------------------------------
+# Coordinate spans: membership and involutivity
+
+def span_contains(span: CoordinateSpan, v: VectorField) -> bool:
+    """True iff every component of v lies on a spanning coordinate."""
+    if v.is_zero():
+        return True
+    if v.space != span.space:
+        raise SpaceMismatch("field on the wrong jet space")
+    return span.coords.issuperset(v.coeffs)
+
+
+def span_is_involutive(span: CoordinateSpan):
+    return True, None        # coordinate fields commute
+
+
+# ---------------------------------------------------------------------------
+# One step of the sigma recursion
+
+def sigma_delta(sysdef: SystemDef, init: Initialization, k: int,
+                box_limit: Optional[int] = None, ctx: Optional[Context] = None):
+    """Reported sigma_Delta(k) for one initialization (see SigmaRun)."""
+    return _sigma_step(sysdef, init, k, box_limit, ctx).sigma_delta
+
+
+def sigma_gamma_delta(sysdef: SystemDef, init: Initialization, k: int,
+                      box_limit: Optional[int] = None,
+                      ctx: Optional[Context] = None):
+    return _sigma_step(sysdef, init, k, box_limit, ctx).sigma_gamma_delta
+
+
+def _sigma_step(sysdef, init, k, box_limit, ctx) -> SigmaStep:
+    """Step k of the recursion, the user box applying at k only."""
+    run = SigmaRun(ctx or Context(sysdef, Budgets()), init)
+    run._step0()
+    for kk in range(1, k + 1):
+        run.step(kk, _box_limit(kk, box_limit if kk == k else None))
+    return run.steps[k]
+
+
+def all_k_survivors(run: SigmaRun, box: int,
+                    upto_k: int) -> List[Tuple[int, ...]]:
+    """The tuples of the box that satisfy both conditions at every step
+    1..upto_k, each step re-checked on the run's Context: involutivity at
+    the (k+1)-capped tuple, invariance at the tuple itself."""
+    ctx, init, m = run.ctx, run.init, run.m
+
+    def both(t, k):
+        capped = tuple(min(v, k + 1) for v in t)
+        return ctx.delta_involutive(_embed(init, m, capped), k)[0] and \
+            ctx.gamma_invariant(_embed(init, m, t), k)[0]
+
+    return [t for t in run._tuples(box)
+            if all(both(t, k) for k in range(1, upto_k + 1))]

@@ -7,18 +7,20 @@ from flatcheck.expr import Expr, render_expr
 from flatcheck.flatness import (Budgets, CandidateCountMismatch, Context,
                                 Initialization, NotLinearizable, SigmaRun,
                                 _rendered, analyze, brunovsky_indices,
-                                cns_check, search_flat_outputs, sigma_delta,
-                                sigma_gamma_delta, static_linearizable,
+                                cns_check, enumerate_initializations,
+                                search_flat_outputs, static_linearizable,
                                 verify_flat_output)
 from flatcheck import flatness, jetgeom
 from flatcheck.jetgeom import (MultiIndex, SpaceMismatch, bracket_failures,
                                generic_rank, lie_bracket, unit_field)
 from flatcheck.prolong import (build_prolonged, delta_filtration,
-                               gamma_filtration)
+                               delta_generators, gamma_filtration)
 from flatcheck.report import INF
 from flatcheck.sysdsl import parse_system
 
-from conftest import DRIFTLESS_PLUS_Z, DRIFTLESS_PLUS_Z2, load_fixture
+from conftest import (DRIFTLESS_PLUS_Z, DRIFTLESS_PLUS_Z2, load_fixture,
+                      widened_fixture)
+from paper_identities import all_k_survivors, sigma_delta, sigma_gamma_delta
 
 
 def double_integrator():
@@ -125,8 +127,11 @@ def test_gamma_invariant_matches_the_full_sweep_on_ps_j(chained, driftless, clm,
                 assert ok == (not want), (sysdef.name, j, k)
                 assert _first(fail) == (want[0] if want else None), \
                     (sysdef.name, j, k)
-                # the one prolonged system it may build is the (k+1)-capped one
-                assert set(new._ps) <= {tuple(min(jp, k + 1) for jp in j)}
+                # it builds no prolonged system, and one home, on the
+                # (k+1)-capped jet space
+                assert new._ps == {}
+                assert [d.space.j for d in new._homes.values()] == \
+                    [tuple(min(jp, k + 1) for jp in j)]
                 if k == 1:
                     # no Gamma_1 coordinate has order < 1
                     assert (ok, fail) == (True, None)
@@ -234,11 +239,11 @@ def test_a_new_context_starts_with_an_empty_bracket_memo(chained, monkeypatch):
 def test_gamma_failures_swept_on_a_home_space_match_a_fresh_context(chained,
                                                                     clm):
     # the involutivity checks run first, over the uncapped box, so a list's
-    # Gamma sweeps run on a home prolongation other than the (k+1)-capped
-    # one that asks, and some of them fail there
+    # home is the one its first asker built; every Gamma sweep runs on that
+    # home's (k+1)-capped jet space, and no prolonged system is built
     for sysdef in (chained, clm):
         warm = Context(sysdef, Budgets())
-        away = 0
+        failed = 0
         for k in range(1, 4):
             box = sorted(itertools.product(range(0, 2 * k + 2),
                                            repeat=sysdef.m), reverse=True)
@@ -249,9 +254,12 @@ def test_gamma_failures_swept_on_a_home_space_match_a_fresh_context(chained,
                 want_ok, want = Context(sysdef, Budgets()).gamma_invariant(j, k)
                 assert (ok, _first(fail)) == (want_ok, _first(want)), \
                     (sysdef.name, j, k)
-                capped = warm.ps(tuple(min(jp, k + 1) for jp in j))
-                away += fail is not None and fail[2].space != capped.space
-        assert away > 0, sysdef.name
+                if fail is not None:
+                    failed += 1
+                    space = warm.home(j, k).space
+                    assert fail[0].space == fail[2].space == space
+                    assert max(space.j) <= k + 1, (sysdef.name, j, k)
+        assert failed > 0 and warm._ps == {}, sysdef.name
 
 
 def test_a_failing_check_brackets_fewer_pairs_than_the_full_sweep(chained,
@@ -262,6 +270,7 @@ def test_a_failing_check_brackets_fewer_pairs_than_the_full_sweep(chained,
                                 (chained, "delta_involutive", (0, 0), 2),
                                 (chained, "gamma_invariant", (1, 2), 3)):
         ctx = Context(sysdef, Budgets())
+        ctx.home(j, k)      # its chain links bracket through ctx.bracket too
         asked = []
         memo = ctx.bracket
         ctx.bracket = lambda a, b: asked.append((a, b)) or memo(a, b)
@@ -286,17 +295,22 @@ def test_certificates_are_computed_on_first_read(chained, driftless, clm,
         ctx = Context(sysdef, Budgets())
         assert cns_check(sysdef, j, ctx=ctx).ok
         dists = [d for ps in ctx._ps.values() for d in ps._dist_cache.values()]
-        assert dists
-        for dist in dists:
+        homes = list(ctx._homes.values())
+        assert dists and homes
+        for dist in dists + homes:
             lazy = dist.certificate
             eager = generic_rank(dist.generators, dist.space, seed=dist.seed,
                                  samples=dist.samples,
                                  base_point=ctx.base_point)
             assert (lazy.rank, lazy.sampled_rank, lazy.symbolic_rank) == \
                 (eager.rank, eager.sampled_rank, eager.symbolic_rank)
-            assert lazy.points == eager.points
+            # a home keeps the shared points it sampled at, the others
+            # their own draws
+            echelons = eager.echelons if dist in dists else \
+                ctx.points.echelons(dist.generators, dist.samples)
+            assert lazy.points == [e.point for e in echelons]
             assert [e.rows for e in lazy.echelons] == \
-                [e.rows for e in eager.echelons]
+                [e.rows for e in echelons]
             assert lazy.factors == eager.factors
             assert (lazy.base_point_rank, lazy.base_point_drop) == \
                 (eager.base_point_rank, eager.base_point_drop)
@@ -317,12 +331,122 @@ def test_sigma_conditions_run_no_symbolic_elimination(chained, monkeypatch):
             ctx.delta_involutive(j, k)
             ctx.gamma_invariant(j, k)
     assert calls == []
-    dist = next(d for ps in ctx._ps.values() for d in ps._dist_cache.values()
+    dist = next(d for d in ctx._homes.values()
                 if d.space.dim <= 12 and d.generators)
     rank = dist.rank
     assert len(calls) == 1
     assert dist.rank == rank and dist.certificate.symbolic_rank == rank
     assert len(calls) == 1
+
+
+# -- the link store, homes on capped spaces, carried survivors -----------------
+
+def _five_and_z2(chained, driftless, clm, pendulum, threeinput):
+    return (chained, driftless, clm, pendulum, threeinput,
+            parse_system(DRIFTLESS_PLUS_Z2))
+
+
+def test_interned_links_equal_the_chains_of_ps_j(chained, driftless, clm,
+                                                 pendulum, threeinput):
+    for sysdef in _five_and_z2(chained, driftless, clm, pendulum, threeinput):
+        ctx = Context(sysdef, Budgets())
+        for j in itertools.product(range(0, 4), repeat=sysdef.m):
+            ps = build_prolonged(sysdef, j)
+            for p in range(1, sysdef.m + 1):
+                for r, lid in enumerate(ctx.links(p, 3, j)):
+                    assert ctx._links[lid].coeffs == ps.ad_u0(p, r).coeffs, \
+                        (sysdef.name, j, p, r)
+
+
+def test_homes_hold_the_delta_generators_of_ps_j(chained, driftless, clm,
+                                                 pendulum, threeinput):
+    for sysdef in _five_and_z2(chained, driftless, clm, pendulum, threeinput):
+        ctx = Context(sysdef, Budgets())
+        for k in range(0, 3):
+            for j in itertools.product(range(0, k + 3), repeat=sysdef.m):
+                want = [g.key() for g in
+                        delta_generators(build_prolonged(sysdef, j), k)
+                        if not g.is_zero()]
+                home = ctx.home(j, k)
+                assert [g.key() for g in home.generators] == want, \
+                    (sysdef.name, j, k)
+                assert home is ctx.home(flatness._cap(j, k + 1), k)
+
+
+def test_checks_read_only_the_capped_tuple(chained, driftless, clm, pendulum,
+                                           threeinput):
+    # Delta_k at j is Delta_k at cap(j, k+1), and Gamma_k invariance at j is
+    # that at cap(j, 2k): a channel with j_p >= 2k has no Gamma coordinate of
+    # order < k.  Each side is asked on its own fresh Context.
+    for sysdef in _five_and_z2(chained, driftless, clm, pendulum, threeinput):
+        at_j, capped = Context(sysdef, Budgets()), Context(sysdef, Budgets())
+        for k in range(1, 4):
+            for j in itertools.product(range(0, 2 * k + 2), repeat=sysdef.m):
+                for check, cap in (("delta_involutive", k + 1),
+                                   ("gamma_invariant", 2 * k)):
+                    ok, fail = getattr(at_j, check)(j, k)
+                    want_ok, want = getattr(capped, check)(
+                        flatness._cap(j, cap), k)
+                    assert (ok, _first(fail)) == (want_ok, _first(want)), \
+                        (sysdef.name, check, j, k)
+
+
+def test_carried_survivors_equal_the_all_k_survivors(chained, driftless, clm,
+                                                     pendulum, threeinput):
+    systems = (chained, driftless, clm, pendulum, threeinput,
+               widened_fixture("driftless", 2))
+    checked = 0
+    for sysdef in systems:
+        ctx = Context(sysdef, Budgets())
+        for init in enumerate_initializations(ctx):
+            run = SigmaRun(ctx, init)
+            step = run.step
+
+            def checked_step(k, box, run=run, step=step):
+                nonlocal checked
+                want = set(all_k_survivors(run, box, k - 1))
+                got = {t for t in run._tuples(box) if run._survived(t, k - 1)}
+                assert got == want, (sysdef.name, init, k)
+                s_delta, surv = step(k, box)
+                assert surv == sorted(all_k_survivors(run, box, k)), \
+                    (sysdef.name, init, k)
+                checked += 1
+                return s_delta, surv
+
+            run.step = checked_step
+            run.run()
+    assert checked > 0
+
+
+def test_cns_check_after_analyze_matches_a_fresh_context(chained, driftless,
+                                                         clm, pendulum,
+                                                         threeinput,
+                                                         monkeypatch):
+    # the factors and base-point drops come from the filtrations cns_check
+    # builds at j, not from whatever the search left behind
+    contexts = []
+
+    class Recorded(Context):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(flatness, "Context", Recorded)
+    for sysdef in (chained, driftless, clm, pendulum, threeinput):
+        del contexts[:]
+        rep = analyze(sysdef, Budgets(seed=0))
+        used = contexts[0]
+        js = [rep.j_min] if rep.j_min else [(0, 2), (2, 0), (0, 0)]
+        for j in js:
+            got = cns_check(sysdef, j, ctx=used)
+            want = cns_check(sysdef, j, ctx=Context(sysdef, Budgets(seed=0)))
+            assert (got.ok, got.violation, got.delta_ranks, got.gamma_ranks,
+                    got.g_ranks, got.factors) == \
+                (want.ok, want.violation, want.delta_ranks, want.gamma_ranks,
+                 want.g_ranks, want.factors), (sysdef.name, j)
+            assert [(name, c.base_point_drop) for name, c in
+                    got.certificates] == \
+                [(name, c.base_point_drop) for name, c in want.certificates]
 
 
 # -- sigma values ---------------------------------------------------------------

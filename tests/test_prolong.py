@@ -16,7 +16,7 @@ from conftest import DRIFTLESS_PLUS_Z, random_system
 from paper_identities import (DomainError, PreconditionNotMet, ad_top,
                               bracket_comparison_check, decomposition_check,
                               gamma_field, gamma_rank_formula, gamma_sequence,
-                              lift_field)
+                              lift_field, span_contains, span_is_involutive)
 from propsuites import (suite_decomposition, suite_gamma_recursion,
                         suite_prolonged_bracket_identities)
 
@@ -80,12 +80,12 @@ def test_gamma_membership_is_a_support_test(chained):
     x1 = Expr.var(chained.state(1))
     inside = VectorField(ps.space, {u13: x1 * x1 + Expr.one(),
                                     u14: Expr.var(u13) / (x1 + Expr.one())})
-    assert gam.contains(inside)
-    assert gam.contains(VectorField(ps.space, {}))
+    assert span_contains(gam, inside)
+    assert span_contains(gam, VectorField(ps.space, {}))
     for outside in (chained.input(1, 2), chained.input(2, 0), chained.state(3)):
-        assert not gam.contains(
-            VectorField(ps.space, {**inside.coeffs, outside: x1}))
-        assert not gam.contains(unit_field(ps.space, outside))
+        assert not span_contains(
+            gam, VectorField(ps.space, {**inside.coeffs, outside: x1}))
+        assert not span_contains(gam, unit_field(ps.space, outside))
 
 
 def test_gamma_filtration_examples(chained):
@@ -244,9 +244,12 @@ def test_chain_links_equal_their_cap_j_r_links(chained, driftless, clm,
 def test_context_brackets_each_chain_link_once(chained, driftless, clm,
                                                pendulum, threeinput,
                                                monkeypatch):
-    from flatcheck import prolong
+    # the Context's link store brackets once per (previous link, drift terms
+    # it meets), through Context.bracket, and never more often than once per
+    # (p, r, cap(j, r))
+    from flatcheck import flatness
     brackets = []
-    orig = prolong.lie_bracket
+    orig = flatness.lie_bracket
 
     def counted(v, w):
         brackets.append((v, w))
@@ -256,14 +259,17 @@ def test_context_brackets_each_chain_link_once(chained, driftless, clm,
         ctx = Context(sysdef, Budgets())
         box = _link_box(sysdef)
         with monkeypatch.context() as patch:
-            patch.setattr(prolong, "lie_bracket", counted)
+            patch.setattr(flatness, "lie_bracket", counted)
             del brackets[:]
-            shared = [ctx.ps(j).ad_u0(p, r) for p, r, j in box]
+            shared = [ctx.links(p, r, j)[-1] for p, r, j in box]
         links = {(p, s, tuple(min(jq, s) for jq in j))
                  for p, r, j in box for s in range(1, r + 1)}
-        assert len(brackets) == len(links), sysdef.name
-        for (p, r, j), link in zip(box, shared):
-            assert link == build_prolonged(sysdef, j).ad_u0(p, r), \
+        assert len(brackets) == len(ctx._link_next) == len(ctx._brackets), \
+            sysdef.name
+        assert len(brackets) <= len(links), sysdef.name
+        for (p, r, j), lid in zip(box, shared):
+            assert ctx._links[lid].key() == \
+                build_prolonged(sysdef, j).ad_u0(p, r).key(), \
                 (sysdef.name, j, p, r)
 
 
@@ -376,5 +382,5 @@ def test_gamma_filtration_always_involutive(chained, clm):
     for sysdef, j in ((chained, [4, 0]), (clm, [0, 3])):
         ps = build_prolonged(sysdef, j)
         for k in (0, 2, 5):
-            ok, _ = gamma_filtration(ps, k).is_involutive()
+            ok, _ = span_is_involutive(gamma_filtration(ps, k))
             assert ok
