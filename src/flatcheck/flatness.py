@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from .expr import (UDERIV, DenominatorVanishes, Expr, VarRef, cos_var,
                    mono_cmp, mono_from, pconst, primitive_scale, render_expr,
@@ -178,12 +178,6 @@ class Context:
             self._delta[capped, k] = dist
         return dist
 
-    def delta_certificate(self, j: Tuple[int, ...], k: int) -> RankCertificate:
-        """The certificate of Delta_k^(j), with the fraction-free elimination
-        wherever X^(j) has dim <= SYMBOLIC_MAX_DIM."""
-        dim = self.sysdef.n + self.sysdef.m + sum(j)
-        return self.home(j, k).certified(dim <= SYMBOLIC_MAX_DIM)
-
     def delta_involutive(self, j: Tuple[int, ...], k: int):
         """(True, None), or (False, the first failing pair in generator-pair
         order) for Delta_k^(j)."""
@@ -324,7 +318,8 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
     kstar = None
     while k <= cap + 1:
         gdist = g_filtration(ps, k)
-        d_certs.append(ctx.delta_certificate(tuple(j), k))
+        d_certs.append(ctx.home(tuple(j), k).certified(
+            full <= SYMBOLIC_MAX_DIM))
         g_certs.append(gdist.certificate)
         d_ranks.append(d_certs[-1].rank)
         gam_ranks.append(gamma_filtration(ps, k).rank)
@@ -439,7 +434,7 @@ def _cap(assign: Tuple[int, ...], cap: int) -> Tuple[int, ...]:
 
 
 def _box_limit(k: int, user: Optional[int] = None) -> int:
-    base = max(k + 1, 2 * k + 1)
+    base = 2 * k + 1
     if user is not None and user > base:
         return user
     return base
@@ -469,7 +464,12 @@ def eager_admissible(ctx: Context, init_kept: Tuple[int, ...]) -> bool:
 class SigmaRun:
     """The per-initialization recursion: satisfying sets per k, reported
     sigma vectors with the non-binding-0 convention, and the candidate
-    prolongation as the componentwise minimum of the surviving box."""
+    prolongation as the componentwise minimum of the surviving box.
+
+    Step k asks `Context` once per class: Delta_k reads cap(l, k+1) and
+    Gamma_k cap(l, 2k).  A tuple l survived steps 1..k-1 iff cap(l, 2k-2)
+    survived step k-1, whose box reaches 2k-1: step j < k reads caps at
+    j+1 and 2j, both <= 2k-2."""
 
     def __init__(self, ctx: Context, init: Initialization):
         self.ctx = ctx
@@ -484,46 +484,15 @@ class SigmaRun:
         self.failure_note: Optional[str] = None
         self.witnesses: List[dict] = []
         self.last_bound: Optional[Tuple[int, ...]] = None
-        # verdicts by (the part of the tuple the check reads, k)
-        self._delta_seen: Dict[Tuple[Tuple[int, ...], int], bool] = {}
-        self._gamma_seen: Dict[Tuple[Tuple[int, ...], int], bool] = {}
-        # tuple -> (last step it survived, whether it failed the next one)
-        self._carried: Dict[Tuple[int, ...], Tuple[int, bool]] = {}
+        # every tuple survives step 0, and cap(l, 2*1 - 2) is all zeros
+        self._survivors: Set[Tuple[int, ...]] = {(0,) * self.width}
 
     def _tuples(self, box: int) -> List[Tuple[int, ...]]:
         return list(itertools.product(range(1, box + 1), repeat=self.width))
 
-    def _delta_ok(self, assign: Tuple[int, ...], k: int) -> bool:
-        # Delta_k^(l) has the generators of Delta_k^(cap(l, k+1))
-        key = (_cap(assign, k + 1), k)
-        ok = self._delta_seen.get(key)
-        if ok is None:
-            ok = self._delta_seen[key] = self.ctx.delta_involutive(
-                _embed(self.init, self.m, key[0]), k)[0]
-        return ok
-
-    def _gamma_ok(self, assign: Tuple[int, ...], k: int) -> bool:
-        # a channel with l_p >= 2k has no Gamma coordinate of order < k, and
-        # capping it at 2k >= k + 1 keeps Delta_k
-        key = (_cap(assign, 2 * k), k)
-        ok = self._gamma_seen.get(key)
-        if ok is None:
-            ok = self._gamma_seen[key] = self.ctx.gamma_invariant(
-                _embed(self.init, self.m, key[0]), k)[0]
-        return ok
-
-    def _survived(self, assign: Tuple[int, ...], k: int) -> bool:
-        """Whether the tuple satisfies both conditions at every step 1..k,
-        carrying forward in k the last step it survived."""
-        last, failed = self._carried.get(assign, (0, False))
-        while last < k and not failed:
-            if self._delta_ok(assign, last + 1) and \
-                    self._gamma_ok(assign, last + 1):
-                last += 1
-            else:
-                failed = True
-        self._carried[assign] = (last, failed)
-        return last >= k
+    def _satisfying(self, check, k: int, cap: int) -> Set[Tuple[int, ...]]:
+        return {c for c in self._tuples(cap)
+                if check(_embed(self.init, self.m, c), k)[0]}
 
     def _step0(self):
         # k = 0: both conditions hold for every l (coordinate fields); the
@@ -546,10 +515,13 @@ class SigmaRun:
         """Evaluate both conditions on the box at k, record the SigmaStep and
         return (s_delta, sorted survivors of every step up to k)."""
         tuples = self._tuples(box)
-        s_delta = {t for t in tuples if self._delta_ok(t, k)}
-        s_gamma = {t for t in tuples if self._gamma_ok(t, k)}
-        prior = {t for t in tuples if self._survived(t, k - 1)}
+        ok_d = self._satisfying(self.ctx.delta_involutive, k, k + 1)
+        ok_g = self._satisfying(self.ctx.gamma_invariant, k, 2 * k)
+        s_delta = {t for t in tuples if _cap(t, k + 1) in ok_d}
+        s_gamma = {t for t in tuples if _cap(t, 2 * k) in ok_g}
+        prior = {t for t in tuples if _cap(t, 2 * k - 2) in self._survivors}
         surv = sorted(prior & s_delta & s_gamma)
+        self._survivors = set(surv)
         # reported sigma: literal componentwise min, masked to 0 when the
         # condition eliminates nothing that everything else allows
         lit_d = _cmin(s_delta, self.width)
@@ -565,13 +537,6 @@ class SigmaRun:
         return s_delta, surv
 
     def run(self, best_total: Optional[int] = None):
-        try:
-            return self._search(best_total)
-        finally:
-            # the verdict memos and the carried survivors serve one search
-            self._delta_seen, self._gamma_seen, self._carried = {}, {}, {}
-
-    def _search(self, best_total: Optional[int]):
         ctx, init = self.ctx, self.init
         sysdef = ctx.sysdef
         n, m = sysdef.n, sysdef.m
@@ -579,26 +544,20 @@ class SigmaRun:
         self._step0()
         stable = 0
         prev_state = None
-        max_k = ctx.budgets.resolved_max_k(sysdef)
-        k = 1
-        while True:
-            if k > max_k:
-                self.outcome = "budget"
-                self.failure_note = "max_k exhausted"
-                return self
+        for k in range(1, ctx.budgets.resolved_max_k(sysdef) + 1):
             box = _box_limit(k, user_box)
             s_delta, surv = self.step(k, box)
             if not s_delta:
                 self.outcome = "infinite"
                 self.failure_k = k
                 self._record_noninvolutive_witness(k, box)
-                return self
+                break
             if not surv:
                 self.outcome = "infinite"
                 self.failure_k = k
                 self.failure_note = ("no prolongation in the certified box "
                                      "satisfies every step up to k=%d" % k)
-                return self
+                break
             cand = _cmin(surv, self.width)
             if cand not in surv:
                 ctx.warnings.append(
@@ -611,12 +570,12 @@ class SigmaRun:
             if best_total is not None and sum(cand) > best_total:
                 self.outcome = "pruned"
                 self.candidate = jf
-                return self
+                break
             if max(cand) > ctx.budgets.resolved_max_prolong(sysdef):
                 self.outcome = "budget"
                 self.failure_note = "max_prolong exhausted"
-                return self
-            dr = ctx.delta_certificate(jf, k).rank
+                break
+            dr = ctx.home(jf, k).certified(False).rank
             gr = len(gamma_coordinates(sysdef, jf, k))
             state = (cand, dr, gr)
             if state == prev_state:
@@ -627,28 +586,30 @@ class SigmaRun:
             if stable >= 1 and dr == n + m and gr == sum(jf):
                 self.candidate = jf
                 self.outcome = "candidate"
-                return self
+                break
             if k > n + sum(cand) and stable >= 1:
                 if dr < n + m:
                     self.outcome = "rank_deficient"
                     self.failure_k = k
                     self.failure_note = ("Delta rank stabilized at %d < %d"
                                          % (dr, n + m))
-                    return self
+                    break
                 self.candidate = jf
                 self.outcome = "candidate"
-                return self
-            k += 1
+                break
+        else:
+            self.outcome = "budget"
+            self.failure_note = "max_k exhausted"
+        # analyze keeps every run, so drop what served this search only
+        self._survivors = set()
+        return self
 
     def _record_noninvolutive_witness(self, k: int, box: int):
-        for t in sorted(self._tuples(box)):
+        # called when s_delta is empty, so every tuple fails Delta_k
+        for t in self._tuples(box)[:3]:
             jf = _embed(self.init, self.m, _cap(t, k + 1))
-            ok, fail = self.ctx.delta_involutive(jf, k)
-            if not ok:
-                self.witnesses.append({"l": list(jf), "k": k,
-                                       **_rendered(fail)})
-                if len(self.witnesses) >= 3:
-                    return
+            _, fail = self.ctx.delta_involutive(jf, k)
+            self.witnesses.append({"l": list(jf), "k": k, **_rendered(fail)})
 
     def trace(self) -> InitTrace:
         return InitTrace(kept=self.init.kept, variant=self.init.variant,

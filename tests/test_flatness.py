@@ -391,31 +391,38 @@ def test_checks_read_only_the_capped_tuple(chained, driftless, clm, pendulum,
                         (sysdef.name, check, j, k)
 
 
-def test_carried_survivors_equal_the_all_k_survivors(chained, driftless, clm,
-                                                     pendulum, threeinput):
+def test_prior_survivors_are_the_capped_survivors_of_the_last_step(
+        chained, driftless, clm, pendulum, threeinput):
+    # l survived steps 1..k-1 iff cap(l, 2k-2) survived step k-1, both with
+    # the default boxes and with a user box that steps 1-3 share
     systems = (chained, driftless, clm, pendulum, threeinput,
                widened_fixture("driftless", 2))
-    checked = 0
-    for sysdef in systems:
-        ctx = Context(sysdef, Budgets())
-        for init in enumerate_initializations(ctx):
-            run = SigmaRun(ctx, init)
-            step = run.step
+    checked = widened = 0
+    for budgets in (Budgets(), Budgets(max_prolong=7)):
+        for sysdef in systems:
+            ctx = Context(sysdef, budgets)
+            for init in enumerate_initializations(ctx):
+                run = SigmaRun(ctx, init)
+                step, last = run.step, []
 
-            def checked_step(k, box, run=run, step=step):
-                nonlocal checked
-                want = set(all_k_survivors(run, box, k - 1))
-                got = {t for t in run._tuples(box) if run._survived(t, k - 1)}
-                assert got == want, (sysdef.name, init, k)
-                s_delta, surv = step(k, box)
-                assert surv == sorted(all_k_survivors(run, box, k)), \
-                    (sysdef.name, init, k)
-                checked += 1
-                return s_delta, surv
+                def checked_step(k, box, run=run, step=step, last=last):
+                    nonlocal checked, widened
+                    where = (sysdef.name, budgets.max_prolong, init, k)
+                    if k >= 2:
+                        widened += box > 2 * k + 1
+                        prior = {t for t in run._tuples(box)
+                                 if flatness._cap(t, 2 * k - 2) in last[-1]}
+                        assert prior == set(
+                            all_k_survivors(run, box, k - 1)), where
+                    s_delta, surv = step(k, box)
+                    assert surv == sorted(all_k_survivors(run, box, k)), where
+                    last.append(set(surv))
+                    checked += 1
+                    return s_delta, surv
 
-            run.step = checked_step
-            run.run()
-    assert checked > 0
+                run.step = checked_step
+                run.run()
+    assert checked > 0 and widened > 0
 
 
 def test_cns_check_after_analyze_matches_a_fresh_context(chained, driftless,
