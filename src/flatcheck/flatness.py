@@ -575,7 +575,7 @@ class SigmaRun:
                 self.outcome = "budget"
                 self.failure_note = "max_prolong exhausted"
                 break
-            dr = ctx.home(jf, k).certified(False).rank
+            dr = ctx.home(jf, k).sampled_rank
             gr = len(gamma_coordinates(sysdef, jf, k))
             state = (cand, dr, gr)
             if state == prev_state:

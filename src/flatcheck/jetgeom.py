@@ -4,17 +4,19 @@ generic rank with exact certificates, and involutivity."""
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import random
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from .expr import (PARAM, SIN, Expr, Poly, VarRef, cos_var, mono_div, pconst,
                    pdivexact, pleading, pmonomial_content, pmul,
-                   primitive_scale, pscale, psub, pvar, param_var, render_expr,
+                   primitive_scale, pscale, pvar, param_var, render_expr,
                    render_poly, sin_var, DenominatorVanishes, MONO_ONE)
 
 
@@ -562,6 +564,8 @@ class RankCertificate:
     factors: List[Poly] = field(default_factory=list)
     base_point_rank: Optional[int] = None
     base_point_drop: bool = False
+    # the symbolic pass's steps, which certified membership replays
+    elimination: Optional["Elimination"] = None
 
     def factor_strings(self) -> List[str]:
         seen = []
@@ -637,53 +641,277 @@ def _detrig_poly(p: Poly, bases: Sequence[VarRef]) -> Poly:
     return out
 
 
-def symbolic_rank(fields: Sequence[VectorField], space: JetSpace):
-    """Fraction-free (Bareiss) elimination over the polynomial ring.
+# ---------------------------------------------------------------------------
+# Exact elimination over Z[x]: integer polynomials {packed monomial: int}
+
+ZPoly = Dict[int, int]
+
+
+class _Packing:
+    """Monomials over `variables` (sorted by `sort_key`) packed into one int,
+    `width` bits per field: the total degree in the top field, then each
+    variable's exponent, the first variable highest.  Int order is then
+    `mono_cmp`'s graded lex, so `max` gives the leading term.  The top bit of
+    every field is a guard bit: exponents up to `cap` = 2^(width-1) - 1 add
+    without carry, so a product's key is a + b, and b divides a iff
+    ((a | guard) - b) & guard == guard."""
+
+    def __init__(self, variables: Iterable[VarRef], degree: int):
+        """A packing of the monomials in `variables` of total degree at most
+        `degree`."""
+        self.variables = tuple(sorted(variables, key=VarRef.sort_key))
+        for v in self.variables:
+            if v.is_trig():
+                raise GeometryError("trig atom %s left after the tan-half "
+                                    "substitution" % v)
+        self.width = w = degree.bit_length() + 1
+        self.cap = (1 << (w - 1)) - 1
+        n = len(self.variables)
+        self._shifts = {v: (n - 1 - i) * w
+                        for i, v in enumerate(self.variables)}
+        self._top = n * w
+        self.guard = sum(1 << (i * w + w - 1) for i in range(n + 1))
+
+    def covers(self, variables: Iterable[VarRef], degree: int) -> bool:
+        return degree <= self.cap and all(v in self._shifts for v in variables)
+
+    def pack(self, m) -> int:
+        shifts = self._shifts
+        key = sum(e for _, e in m) << self._top
+        for v, e in m:
+            key |= e << shifts[v]
+        return key
+
+    def unpack(self, key: int):
+        mask = (1 << self.width) - 1
+        shifts = self._shifts
+        return tuple((v, e) for v in self.variables
+                     if (e := key >> shifts[v] & mask))
+
+    def row(self, row: List[Dict]) -> List[ZPoly]:
+        """A row of {Mono: int} entries, packed."""
+        pack = self.pack
+        return [{pack(m): c for m, c in p.items()} if p else p for p in row]
+
+    def poly(self, p: ZPoly) -> Poly:
+        return {self.unpack(k): Fraction(c) for k, c in p.items()}
+
+    def repack(self, p: ZPoly, old: "_Packing") -> ZPoly:
+        return {self.pack(old.unpack(k)): c for k, c in p.items()}
+
+
+def _zmul(a: ZPoly, b: ZPoly) -> ZPoly:
+    out: ZPoly = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            k = ma + mb
+            out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _zcross(a: ZPoly, x: ZPoly, b: ZPoly, y: ZPoly) -> ZPoly:
+    """a*x - b*y."""
+    out: ZPoly = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mx, cx in x.items():
+            k = ma + mx
+            out[k] = get(k, 0) + ca * cx
+    for mb, cb in b.items():
+        for my, cy in y.items():
+            k = mb + my
+            out[k] = get(k, 0) - cb * cy
+    return {k: c for k, c in out.items() if c}
+
+
+def _zdiv(a: ZPoly, b: ZPoly, guard: int) -> ZPoly:
+    """a / b in Z[x]; ArithmeticError unless b divides a exactly.  The
+    remainder's monomials sit in a max-heap (Monagan & Pearce 2007): each
+    step takes the leading one, and the terms it adds are smaller, so no
+    monomial is taken twice."""
+    if len(b) == 1:
+        (lm, lc), = b.items()
+        out: ZPoly = {}
+        for m, c in a.items():
+            q, r = divmod(c, lc)
+            if r or ((m | guard) - lm) & guard != guard:
+                raise ArithmeticError("inexact polynomial division")
+            out[m - lm] = q
+        return out
+    lm = max(b)
+    lc = b[lm]
+    tail = [(m, c) for m, c in b.items() if m != lm]
+    rem = dict(a)
+    heap = [-m for m in rem]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = rem.pop(m)
+        if not c:
+            continue
+        q, r = divmod(c, lc)
+        if r or ((m | guard) - lm) & guard != guard:
+            raise ArithmeticError("inexact polynomial division")
+        qm = m - lm
+        out[qm] = q
+        for bm, bc in tail:
+            k = qm + bm
+            if k in rem:
+                rem[k] -= q * bc
+            else:
+                rem[k] = -q * bc
+                heapq.heappush(heap, -k)
+    return out
+
+
+_QONE: Poly = pconst(1)
+
+
+def _bareiss_step(row: List[ZPoly], col: int, prow: List[ZPoly],
+                  prev: Optional[ZPoly], guard: int):
+    """One fraction-free step on `row`, in place: row[c] becomes
+    (pivot * row[c] - row[col] * prow[c]) / prev for c > col, pivot =
+    prow[col], and row[col] becomes zero.  Each new entry is a minor, so
+    the division is exact; at the first step prev is 1, passed as None."""
+    pivot, rc = prow[col], row[col]
+    for c in range(col + 1, len(row)):
+        x, y = row[c], prow[c]
+        if rc and y:
+            num = _zcross(pivot, x, rc, y)
+        elif x:
+            num = _zmul(pivot, x)
+        else:
+            continue
+        row[c] = _zdiv(num, prev, guard) if prev else num
+    row[col] = {}
+
+
+def _integer_row(f: VectorField, space: JetSpace):
+    """(row, denominators): f's entries over `space.coords`, each scaled by
+    the other entries' non-unit denominators and tan-half cleared, then the
+    row times the lcm of its coefficient denominators, as {Mono: int}; the
+    denominators in column order."""
+    col = space.col
+    entries = sorted(((col(v), e) for v, e in f.coeffs.items()),
+                     key=lambda p: p[0])
+    dens = [(c, e.den) for c, e in entries if e.den != _QONE]
+    scaled = []
+    lcm = 1
+    for c, e in entries:
+        p = e.num
+        for cd, d in dens:
+            if cd != c:
+                p = pmul(p, d)
+        p = _detrig_poly(p, space.trig_bases)
+        for q in p.values():
+            lcm = lcm * q.denominator // gcd(lcm, q.denominator)
+        scaled.append((c, p))
+    row: List[dict] = [{} for _ in space.coords]
+    for c, p in scaled:
+        row[c] = {m: q.numerator * (lcm // q.denominator)
+                  for m, q in p.items()}
+    return row, [d for _, d in dens]
+
+
+def _row_shape(row) -> Tuple[set, int]:
+    """The variables of a {Mono: int} row and its degree."""
+    variables, degree = set(), 0
+    for p in row:
+        for m in p:
+            degree = max(degree, sum(e for _, e in m))
+            variables.update(v for v, _ in m)
+    return variables, degree
+
+
+class Elimination(tuple):
+    """`symbolic_rank`'s answer, the pair (rank, factors), which also keeps
+    each step of its elimination: the pivot column, the pivot row and the
+    previous pivot.  A pivot row is never changed once chosen, so `contains`
+    replays a probe's row through the steps; by Sylvester's identity its
+    entries are then the minors that eliminating the generators plus the
+    probe would compute, and the answer is that elimination's."""
+
+    def __new__(cls, rank: int, factors: List[Poly], space: JetSpace,
+                steps: list, packing: _Packing, degree: int):
+        self = super().__new__(cls, (rank, factors))
+        self.space, self.steps, self.packing = space, steps, packing
+        # the sum of the generator rows' degrees
+        self.degree = degree
+        return self
+
+    def contains(self, v: VectorField) -> bool:
+        """True iff v's row is in the row span of the generators.  The
+        steps are first repacked if v's row has a variable or a degree that
+        their packing does not hold."""
+        row, _ = _integer_row(v, self.space)
+        variables, degree = _row_shape(row)
+        # each replayed entry is a minor with v's row, its numerator a
+        # product of two of them
+        bound = 2 * (self.degree + degree)
+        if not self.packing.covers(variables, bound):
+            old = self.packing
+            self.packing = new = _Packing(variables.union(old.variables),
+                                          max(bound, old.cap))
+            self.steps = [(col, [new.repack(p, old) for p in prow],
+                           prev and new.repack(prev, old))
+                          for col, prow, prev in self.steps]
+        row, guard = self.packing.row(row), self.packing.guard
+        start = 0
+        for col, prow, prev in self.steps:
+            # a column no pivot row took: the elimination of the generators
+            # plus v would pick v's row as the pivot there
+            if any(row[start:col]):
+                return False
+            _bareiss_step(row, col, prow, prev, guard)
+            start = col + 1
+        return not any(row[start:])
+
+
+def symbolic_rank(fields: Sequence[VectorField],
+                  space: JetSpace) -> Elimination:
+    """Fraction-free (Bareiss) elimination over Z[x] of the fields' rows.
 
     Returns (rank, factor polys): pivots and cleared row denominators,
-    normalized; tan-half clearing factors are not reported."""
-    one = pconst(1)
+    normalized; tan-half clearing factors are not reported.  Each row is
+    scaled by a positive integer to clear its coefficients' denominators,
+    which scales every minor by a positive integer: the factors, normalized
+    by `_factor_polys`, are those of the elimination over Q."""
     factors: List[Poly] = []
-    rows: List[List[Poly]] = []
+    rows = []
     for f in fields:
-        entries = [f.coeff(c) for c in space.coords]
-        dens = [e.den for e in entries]
-        scaled = []
-        for i, e in enumerate(entries):
-            p = dict(e.num)
-            for jj, d in enumerate(dens):
-                if jj != i and d != one:
-                    p = pmul(p, d)
-            scaled.append(p)
+        row, dens = _integer_row(f, space)
         for d in dens:
-            if d != one:
-                accumulate_factors(factors, _factor_polys(d))
-        rows.append([_detrig_poly(p, space.trig_bases) for p in scaled])
+            accumulate_factors(factors, _factor_polys(d))
+        rows.append(row)
+    variables, degree = set(), 0
+    for row in rows:
+        rv, rd = _row_shape(row)
+        variables |= rv
+        degree += rd
+    packing = _Packing(variables, 2 * degree)
+    rows = [packing.row(row) for row in rows]
+    guard = packing.guard
+    steps = []
     rank = 0
-    prev: Poly = pconst(1)
+    prev = None
     nrows = len(rows)
     for col in range(space.dim):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        accumulate_factors(factors, _factor_polys(pivot))
+        prow = rows[rank]
+        accumulate_factors(factors, _factor_polys(packing.poly(prow[col])))
         for r in range(rank + 1, nrows):
-            rc = rows[r][col]
-            for c in range(col + 1, space.dim):
-                num = psub(pmul(pivot, rows[r][c]), pmul(rc, rows[rank][c]))
-                rows[r][c] = pdivexact(num, prev) if num else {}
-            rows[r][col] = {}
-        prev = pivot
+            _bareiss_step(rows[r], col, prow, prev, guard)
+        steps.append((col, prow, prev))
+        prev = prow[col]
         rank += 1
         if rank == nrows:
             break
-    return rank, factors
+    return Elimination(rank, factors, space, steps, packing, degree)
 
 
 def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
@@ -719,15 +947,16 @@ def certify(fields: Sequence[VectorField], space: JetSpace,
     if not fields:
         return RankCertificate(0, 0, 0, [], [])
     sampled = max(ech.rank for ech in echelons)
-    sym_rank = None
+    sym_rank = elimination = None
     factors: List[Poly] = []
     if symbolic is None:
         symbolic = space.dim <= SYMBOLIC_MAX_DIM
     if symbolic:
-        sym_rank, factors = symbolic_rank(fields, space)
+        elimination = symbolic_rank(fields, space)
+        sym_rank, factors = elimination
     rank = sym_rank if sym_rank is not None else sampled
     cert = RankCertificate(rank, sampled, sym_rank, points, echelons,
-                           factors=factors)
+                           factors=factors, elimination=elimination)
     if base_point is not None:
         bp = dict(base_point)
         for v in space.coords:
@@ -803,6 +1032,11 @@ class Distribution:
     def rank(self) -> int:
         return self.certificate.rank
 
+    @property
+    def sampled_rank(self) -> int:
+        """The rank of the sampled pass, with no exact work."""
+        return self._sampled.sampled_rank
+
     def _row(self, v: VectorField, point) -> Dict[int, int]:
         if self._points is None:
             return v.eval_row(point, FP)
@@ -835,11 +1069,15 @@ class Distribution:
         return True
 
     def contains_certified(self, v: VectorField) -> bool:
-        """Membership decided by the symbolic elimination, not sampled."""
+        """Membership decided by the symbolic elimination, not sampled: v's
+        row replayed through the steps of the generators' elimination."""
         if v.is_zero():
             return True
-        aug, _ = symbolic_rank(self.generators + [v], self.space)
-        return aug <= self.certified(True).symbolic_rank
+        if v.space != self.space:
+            raise SpaceMismatch("field on the wrong jet space")
+        if not self.generators:
+            return False
+        return self.certified(True).elimination.contains(v)
 
     def is_involutive(self, bracket=None):
         """(True, None) or (False, (g_a, g_b, [g_a, g_b])) with the first

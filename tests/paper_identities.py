@@ -6,18 +6,21 @@ gamma vector recursion, the G = Gamma (+) Delta decomposition, the
 comparison with the unprolonged brackets) so that the tests can check the
 filtrations that `flatcheck` computes against them.  They also hold the
 reported sigma values of one step of the recursion, the membership and
-involutivity of a coordinate span, and the sigma search's former survivor
-sweep, which re-checks every earlier k.
+involutivity of a coordinate span, the sigma search's former survivor
+sweep, which re-checks every earlier k, and the former fraction-free
+elimination over Q, which the elimination over Z[x] must agree with.
 """
 
 import itertools
 from typing import List, Optional, Tuple
 
-from flatcheck.expr import UDERIV, Expr, VarRef
+from flatcheck.expr import (UDERIV, Expr, Poly, VarRef, pconst, pdivexact,
+                            pmul, psub)
 from flatcheck.flatness import (Budgets, Context, Initialization, SigmaRun,
                                 _box_limit, _embed)
 from flatcheck.jetgeom import (CoordinateSpan, Distribution, JetSpace,
                                MultiIndex, SpaceMismatch, VectorField, ad_pow,
+                               _detrig_poly, _factor_polys, accumulate_factors,
                                bracket_failures, unit_field)
 from flatcheck.prolong import (ProlongedSystem, build_prolonged,
                                delta_filtration, g_filtration, g_stabilization,
@@ -265,3 +268,55 @@ def all_k_survivors(run: SigmaRun, box: int,
 
     return [t for t in run._tuples(box)
             if all(both(t, k) for k in range(1, upto_k + 1))]
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free elimination over Q
+
+def q_symbolic_rank(fields: List[VectorField], space: JetSpace):
+    """Fraction-free (Bareiss) elimination over the polynomial ring.
+
+    Returns (rank, factor polys): pivots and cleared row denominators,
+    normalized; tan-half clearing factors are not reported."""
+    one = pconst(1)
+    factors: List[Poly] = []
+    rows: List[List[Poly]] = []
+    for f in fields:
+        entries = [f.coeff(c) for c in space.coords]
+        dens = [e.den for e in entries]
+        scaled = []
+        for i, e in enumerate(entries):
+            p = dict(e.num)
+            for jj, d in enumerate(dens):
+                if jj != i and d != one:
+                    p = pmul(p, d)
+            scaled.append(p)
+        for d in dens:
+            if d != one:
+                accumulate_factors(factors, _factor_polys(d))
+        rows.append([_detrig_poly(p, space.trig_bases) for p in scaled])
+    rank = 0
+    prev: Poly = pconst(1)
+    nrows = len(rows)
+    for col in range(space.dim):
+        piv = None
+        for r in range(rank, nrows):
+            if rows[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot = rows[rank][col]
+        accumulate_factors(factors, _factor_polys(pivot))
+        for r in range(rank + 1, nrows):
+            rc = rows[r][col]
+            for c in range(col + 1, space.dim):
+                num = psub(pmul(pivot, rows[r][c]), pmul(rc, rows[rank][c]))
+                rows[r][c] = pdivexact(num, prev) if num else {}
+            rows[r][col] = {}
+        prev = pivot
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, factors
