@@ -76,8 +76,9 @@ class Context:
       [d/dc, V] = dV/dc lies in it, depend only on the generators'
       coefficients, so a failure may hold fields of another prolongation's
       jet space; it is only rendered.
-    - Every home samples at the shared `points`, so a field's row at a point
-      is evaluated once per analysis."""
+    - Every home, and every distribution of a prolonged system from `ps`,
+      samples at the shared `points`, so a field's row at a point is
+      evaluated once per analysis."""
 
     def __init__(self, sysdef: SystemDef, budgets: Budgets):
         self.sysdef = sysdef
@@ -106,7 +107,8 @@ class Context:
         if key not in self._ps:
             self._ps[key] = build_prolonged(
                 self.sysdef, MultiIndex(j), seed=self.budgets.seed,
-                samples=self.budgets.samples, base_point=self.base_point)
+                samples=self.budgets.samples, base_point=self.base_point,
+                points=self.points)
         return self._ps[key]
 
     def space(self, j: Tuple[int, ...]) -> JetSpace:
@@ -735,45 +737,57 @@ def _mono_expr(combo) -> Expr:
     return out
 
 
-def _nullspace_candidates(ps: ProlongedSystem, kap: int, degree: int) -> List[Expr]:
-    """Degree-bounded solutions of <G_k, dy> = 0 for k <= kap - 2, as
-    normalized basis vectors of the exact nullspace (constants excluded)."""
+def _nullspace_pools(ps: ProlongedSystem, kappas: Collection[int],
+                     degree: int) -> Dict[int, List[Expr]]:
+    """For each kap in `kappas`, the degree-bounded solutions of
+    <G_k, dy> = 0 for k <= kap - 2, as normalized basis vectors of the
+    exact nullspace (constants excluded).  One echelon over Q takes each G
+    level's conditions once, in increasing level, and is read after level
+    kap - 2 for each kap: the basis depends only on the row space."""
     monos = _ansatz_monomials(ps, degree)
     mono_exprs = [_mono_expr(c) for c in monos]
-    fields = []
-    for r in range(0, kap - 1):
-        fields.extend(g for g in g_level_fields(ps, r) if not g.is_zero())
-    # linear conditions: sparse rows indexed by (field, result monomial)
+    ech = PointEchelon()
+    pools: Dict[int, List[Expr]] = {}
+    level = 0
+    for kap in sorted(set(kappas)):
+        while level < kap - 1:
+            for g in g_level_fields(ps, level):
+                if not g.is_zero():
+                    for row in _ansatz_conditions(g, mono_exprs):
+                        ech.insert(row)
+            level += 1
+        pools[kap] = []
+        for vec in ech.nullspace(len(monos)):
+            poly = {}
+            for col, c in enumerate(vec):
+                if c:
+                    key = mono_from([(v, 1) for v in monos[col]])
+                    poly[key] = poly.get(key, Fraction(0)) + c
+            if poly:
+                pools[kap].append(_normalize_output(Expr.make(poly, pconst(1))))
+    return pools
+
+
+def _ansatz_conditions(g: VectorField, mono_exprs: List[Expr]):
+    """The linear conditions g(y) = 0 on the ansatz coefficients: one sparse
+    row per monomial of the images g(monomial), denominators cleared."""
+    images = [g.apply(me) for me in mono_exprs]
+    dens = []
+    for e in images:
+        if e.den != pconst(1) and e.den not in dens:
+            dens.append(e.den)
+    scale = Expr.one()
+    for d in dens:
+        scale = scale * Expr.make(dict(d), pconst(1))
     rows: Dict[tuple, Dict[int, Fraction]] = {}
-    for fi, g in enumerate(fields):
-        images = [g.apply(me) for me in mono_exprs]
-        dens = []
-        for e in images:
-            if e.den != pconst(1) and e.den not in dens:
-                dens.append(e.den)
-        scale = Expr.one()
-        for d in dens:
-            scale = scale * Expr.make(dict(d), pconst(1))
-        for col, e in enumerate(images):
-            if e.is_zero():
-                continue
-            se = e * scale
-            assert se.den == pconst(1)
-            for mono, coeff in se.num.items():
-                rows.setdefault((fi, mono), {})[col] = coeff
-    ech = PointEchelon.of(rows.values())
-    out = []
-    for vec in ech.nullspace(len(monos)):
-        poly = {}
-        for col, c in enumerate(vec):
-            if c:
-                key = mono_from([(v, 1) for v in monos[col]])
-                poly[key] = poly.get(key, Fraction(0)) + c
-        if not poly:
+    for col, e in enumerate(images):
+        if e.is_zero():
             continue
-        e = Expr.make(poly, pconst(1))
-        out.append(_normalize_output(e))
-    return out
+        se = e * scale
+        assert se.den == pconst(1)
+        for mono, coeff in se.num.items():
+            rows.setdefault(mono, {})[col] = coeff
+    return rows.values()
 
 
 def _normalize_output(e: Expr) -> Expr:
@@ -798,8 +812,7 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
         kappa = brunovsky_indices(ps)
     except NotLinearizable:
         return None
-    pools = {kap: _nullspace_candidates(ps, kap, ansatz_degree)
-             for kap in set(kappa)}
+    pools = _nullspace_pools(ps, kappa, ansatz_degree)
 
     def nondegenerate(y: Expr, kap: int) -> bool:
         top = [g for g in g_level_fields(ps, kap - 1) if not g.is_zero()]

@@ -116,12 +116,12 @@ class JetSpace:
 class VectorField:
     """Sparse coordinate-indexed field sum_c coeff_c * d/dc on a jet space."""
 
-    __slots__ = ("space", "coeffs", "_key")
+    __slots__ = ("space", "coeffs", "_key", "_vars")
 
     def __init__(self, space: JetSpace, coeffs: Dict[VarRef, Expr]):
         self.space = space
         self.coeffs = {v: e for v, e in coeffs.items() if not e.is_zero()}
-        self._key = None
+        self._key = self._vars = None
 
     def key(self):
         # (coordinate, Expr) pairs: an Expr caches its hash, so the key of a
@@ -130,6 +130,13 @@ class VectorField:
             items = sorted(self.coeffs.items(), key=lambda p: p[0].sort_key())
             self._key = tuple(items)
         return self._key
+
+    def variables(self) -> frozenset:
+        """The variables of the coefficients, trig atoms by their bases."""
+        if self._vars is None:
+            self._vars = frozenset().union(
+                *(e.free_base_vars() for e in self.coeffs.values()))
+        return self._vars
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -173,7 +180,8 @@ class VectorField:
         """The field with these coefficients on `space`, which must have
         every coordinate they involve."""
         out = VectorField(space, {})
-        out.coeffs, out._key = self.coeffs, self.key()
+        out.coeffs, out._key, out._vars = self.coeffs, self.key(), \
+            self.variables()
         return out
 
     def eval_row(self, point: dict, field=None) -> Dict[int, object]:
@@ -219,6 +227,14 @@ def _same_space(a: VectorField, b: VectorField):
 
 def unit_field(space: JetSpace, v: VarRef) -> VectorField:
     return VectorField(space, {v: Expr.one()})
+
+
+def brackets_to_zero(v: VectorField, w: VectorField) -> bool:
+    """True when neither field has a coordinate among the other's
+    coefficient variables: then every term of `lie_bracket` is absent and
+    [v, w] = 0.  (False does not say the bracket is nonzero.)"""
+    return v.coeffs.keys().isdisjoint(w.variables()) and \
+        w.coeffs.keys().isdisjoint(v.variables())
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
@@ -372,7 +388,8 @@ class SamplePoints:
         """The sparse row of v at `point` over F_p; DenominatorVanishes at a
         pole of v."""
         key = (v.key(), point.index)
-        if key not in self._rows:
+        row = self._rows.get(key, False)
+        if row is False:
             cols, p, row = self._cols, FP.p, {}
             try:
                 for c, e in v.coeffs.items():
@@ -382,7 +399,6 @@ class SamplePoints:
             except DenominatorVanishes:
                 row = None
             self._rows[key] = row
-        row = self._rows[key]
         if row is None:
             raise DenominatorVanishes(point)
         return row
@@ -391,6 +407,22 @@ class SamplePoints:
                  samples: int) -> List[PointEchelon]:
         return _sample_echelons(fields, samples,
                                 map(self.point, itertools.count()), self.row)
+
+    def extend(self, echelons: Sequence[PointEchelon],
+               fields: Sequence[VectorField]) -> Optional[List[PointEchelon]]:
+        """Copies of `echelons`, taken at these points, with the fields'
+        rows inserted in order; None if a field has a pole at one of their
+        points."""
+        out = []
+        for ech in echelons:
+            ech = ech.copy()
+            try:
+                for f in fields:
+                    ech.insert(self.row(f, ech.point))
+            except DenominatorVanishes:
+                return None
+            out.append(ech)
+        return out
 
 
 def _sample_echelons(fields: Sequence[VectorField], samples: int,
@@ -566,6 +598,11 @@ class RankCertificate:
     base_point_drop: bool = False
     # the symbolic pass's steps, which certified membership replays
     elimination: Optional["Elimination"] = None
+
+    def at_base_point(self, rank: Optional[int]):
+        """Record the rank at the base point, None at a pole there."""
+        self.base_point_rank = rank
+        self.base_point_drop = rank is None or rank < self.rank
 
     def factor_strings(self) -> List[str]:
         seen = []
@@ -958,33 +995,52 @@ def certify(fields: Sequence[VectorField], space: JetSpace,
     cert = RankCertificate(rank, sampled, sym_rank, points, echelons,
                            factors=factors, elimination=elimination)
     if base_point is not None:
-        bp = dict(base_point)
-        for v in space.coords:
-            bp.setdefault(v, Fraction(0))   # jet origin: derivatives vanish
+        bp = _on_jet_origin(base_point, space)
         try:
-            rows = [f.eval_row(bp) for f in fields]
-            cert.base_point_rank = fraction_rank(rows)
+            bp_rank = fraction_rank([f.eval_row(bp) for f in fields])
         except DenominatorVanishes:
-            cert.base_point_rank = None
-        if cert.base_point_rank is None or cert.base_point_rank < rank:
-            cert.base_point_drop = True
+            bp_rank = None
+        cert.at_base_point(bp_rank)
     return cert
+
+
+def _on_jet_origin(base_point: Dict[VarRef, Fraction],
+                   space: JetSpace) -> Dict[VarRef, Fraction]:
+    """The base point with every coordinate it leaves out at zero: the jet
+    origin, where the input derivatives vanish."""
+    bp = dict(base_point)
+    for v in space.coords:
+        bp.setdefault(v, Fraction(0))
+    return bp
 
 
 # ---------------------------------------------------------------------------
 # Distributions
+
+_UNSET = object()
+
 
 class Distribution:
     """Finite-generator distribution.  The rank-sampling echelons are built
     with it and serve membership and involutivity: at points drawn on its
     space from its generators, or at the shared `points` of an analysis.
     The exact certificate (Bareiss elimination, base-point rank) is computed
-    on the first read of `rank`, `certificate` or `certified`."""
+    on the first read of `rank`, `certificate` or `certified`.
+
+    A `prefix`, a distribution on the same space, points and base point
+    whose (nonempty) generators begin this one's, is extended rather than
+    rebuilt: its
+    echelons, at the sample points and at the base point, are copied and
+    the remaining generators' rows inserted.  That is the echelon a build
+    from scratch makes (same points, same rows, same order), unless a new
+    generator has a pole at one of the prefix's points; then the sampled
+    pass is built from scratch."""
 
     def __init__(self, space: JetSpace, generators: Sequence[VectorField],
                  seed: int = 0, samples: int = 5,
                  base_point: Optional[Dict[VarRef, Fraction]] = None,
-                 points: Optional[SamplePoints] = None):
+                 points: Optional[SamplePoints] = None,
+                 prefix: Optional["Distribution"] = None):
         gens = []
         for g in generators:
             if g.space != space:
@@ -997,11 +1053,19 @@ class Distribution:
         self.samples = samples
         self._base_point = base_point
         self._points = points
+        self._prefix = prefix
+        self._base_ech = _UNSET
+        # whether the sample echelons extend the prefix's
+        self._extended = False
         if points is None:
             self._sampled = generic_rank(gens, space, seed=seed,
                                          samples=samples, symbolic=False)
         else:
-            echs = points.echelons(gens, samples)
+            echs = None if prefix is None else points.extend(
+                prefix._sampled.echelons, gens[len(prefix.generators):])
+            self._extended = echs is not None
+            if echs is None:
+                echs = points.echelons(gens, samples)
             self._sampled = certify(gens, space, [e.point for e in echs],
                                     echs, symbolic=False)
         self._certificates: Dict[bool, RankCertificate] = {}
@@ -1012,16 +1076,38 @@ class Distribution:
         self._involutive: Optional[tuple] = None
         self._coordinate_failures: Dict[VarRef, Optional[tuple]] = {}
 
+    def _base_echelon(self) -> Optional[PointEchelon]:
+        """The Q echelon of the generator rows at the base point, the
+        prefix's extended; None at a pole of a generator there (a pole of
+        the prefix's is one of this distribution's)."""
+        if self._base_ech is _UNSET:
+            ech, new = PointEchelon(), self.generators
+            if self._prefix is not None:
+                ech = self._prefix._base_echelon()
+                ech = None if ech is None else ech.copy()
+                new = new[len(self._prefix.generators):]
+            if ech is not None:
+                bp = _on_jet_origin(self._base_point, self.space)
+                try:
+                    for f in new:
+                        ech.insert(f.eval_row(bp))
+                except DenominatorVanishes:
+                    ech = None
+            self._base_ech = ech
+        return self._base_ech
+
     def certified(self, symbolic: bool) -> RankCertificate:
         """The certificate with (or without) the fraction-free elimination,
         computed once per choice.  Neither depends on the space beyond the
         coordinates the generators involve, so one distribution certifies
         for every prolongation that has its generators."""
         if symbolic not in self._certificates:
-            self._certificates[symbolic] = certify(
-                self.generators, self.space, self._sampled.points,
-                self._sampled.echelons, base_point=self._base_point,
-                symbolic=symbolic)
+            cert = certify(self.generators, self.space, self._sampled.points,
+                           self._sampled.echelons, symbolic=symbolic)
+            if self._base_point is not None and self.generators:
+                ech = self._base_echelon()
+                cert.at_base_point(None if ech is None else ech.rank)
+            self._certificates[symbolic] = cert
         return self._certificates[symbolic]
 
     @property
@@ -1082,11 +1168,24 @@ class Distribution:
     def is_involutive(self, bracket=None):
         """(True, None) or (False, (g_a, g_b, [g_a, g_b])) with the first
         failing pair in generator order, bracketed by `bracket` as in
-        `bracket_failures`; memoized."""
+        `bracket_failures`; memoized.
+
+        When this distribution extends an involutive prefix each of whose
+        sample echelons has its top rank, only the pairs whose second member
+        is new are swept: every old pair's bracket reduced to zero at each
+        of the prefix's echelons (a bracket has no pole where its two fields
+        have none), so it does at their extensions, and the full sweep
+        would pass it."""
         if self._involutive is None:
-            fail = next(bracket_failures(
-                itertools.combinations(self.generators, 2), self.contains,
-                bracket), None)
+            gens, prefix = self.generators, self._prefix
+            pairs = itertools.combinations(gens, 2)
+            if self._extended and prefix._involutive is not None and \
+                    prefix._involutive[0] and \
+                    len(prefix._echelons) == len(prefix._sampled.echelons):
+                old = len(prefix.generators)
+                pairs = ((gens[a], gens[b]) for a in range(len(gens))
+                         for b in range(max(a + 1, old), len(gens)))
+            fail = next(bracket_failures(pairs, self.contains, bracket), None)
             self._involutive = (fail is None, fail)
         return self._involutive
 
@@ -1129,9 +1228,12 @@ def bracket_failures(pairs: Iterable[Tuple[VectorField, VectorField]],
                                                 VectorField]] = None):
     """Yield (a, b, [a, b]) for each nonzero bracket of the pairs that
     `member` rejects, lazily and in pair order; `bracket` computes [a, b]
-    (`lie_bracket`, looked up at call time, by default)."""
+    (`lie_bracket`, looked up at call time, by default), except for pairs
+    that `brackets_to_zero` skips."""
     bracket = bracket or lie_bracket
     for a, b in pairs:
+        if brackets_to_zero(a, b):
+            continue
         br = bracket(a, b)
         if not br.is_zero() and not member(br):
             yield a, b, br

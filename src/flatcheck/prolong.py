@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .expr import Expr, VarRef
 from .jetgeom import (CoordinateSpan, Distribution, JetSpace, MultiIndex,
-                      VectorField, lie_bracket, unit_field)
+                      SamplePoints, VectorField, lie_bracket, unit_field)
 from .sysdsl import SystemDef
 
 
@@ -22,10 +22,12 @@ def build_space(sysdef: SystemDef, j: MultiIndex) -> JetSpace:
 
 class ProlongedSystem:
     """System prolonged by j: drift g0 = f d/dx + sum u_i^(k+1) d/du_i^(k)
-    (k < j_i) and input fields g_i = d/du_i^(j_i)."""
+    (k < j_i) and input fields g_i = d/du_i^(j_i).  Its distributions
+    sample at `points` (a `SamplePoints` of its own by default)."""
 
     def __init__(self, sysdef: SystemDef, j: MultiIndex, seed: int = 0,
-                 samples: int = 5, base_point=None):
+                 samples: int = 5, base_point=None,
+                 points: Optional[SamplePoints] = None):
         if len(j) != sysdef.m:
             raise ValueError("prolongation order needs one component per input")
         self.sysdef = sysdef
@@ -34,6 +36,7 @@ class ProlongedSystem:
         self.samples = samples
         self.space = build_space(sysdef, self.j)
         self.base_point = base_point
+        self.points = points if points is not None else SamplePoints(seed)
         coeffs: Dict[VarRef, Expr] = {}
         for i, f_i in enumerate(sysdef.f, start=1):
             coeffs[sysdef.state(i)] = f_i
@@ -63,18 +66,18 @@ class ProlongedSystem:
             chain.append(lie_bracket(self.g0, chain[-1]))
         return chain[r]
 
-    def _distribution(self, key, gens) -> Distribution:
+    def _distribution(self, key, gens, prefix=None) -> Distribution:
         if key not in self._dist_cache:
             self._dist_cache[key] = Distribution(
                 self.space, gens, seed=self.seed, samples=self.samples,
-                base_point=self.base_point)
+                base_point=self.base_point, points=self.points, prefix=prefix)
         return self._dist_cache[key]
 
 
 def build_prolonged(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
-                    base_point=None) -> ProlongedSystem:
+                    base_point=None, points=None) -> ProlongedSystem:
     return ProlongedSystem(sysdef, MultiIndex(j), seed=seed, samples=samples,
-                           base_point=base_point)
+                           base_point=base_point, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +95,12 @@ def g_level_fields(ps: ProlongedSystem, k: int) -> List[VectorField]:
 
 
 def g_filtration(ps: ProlongedSystem, k: int) -> Distribution:
+    """G_k = span{ad_{g0}^r g_i : r <= k}: G_{k-1} extended by level k when
+    G_{k-1} is cached (see `Distribution`), else built from scratch."""
     gens: List[VectorField] = []
     for r in range(0, k + 1):
         gens.extend(g_level_fields(ps, r))
-    return ps._distribution(("G", k), gens)
+    return ps._distribution(("G", k), gens, ps._dist_cache.get(("G", k - 1)))
 
 
 def gamma_coordinates(sysdef: SystemDef, j, k: int) -> List[VarRef]:

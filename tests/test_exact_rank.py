@@ -16,7 +16,7 @@ from flatcheck.expr import (Expr, mono_cmp, mono_mul, param_var, pconst,
 from flatcheck.flatness import _chain, _gradient_field, verify_flat_output
 from flatcheck.jetgeom import (Distribution, GeometryError, JetSpace,
                                MultiIndex, VectorField, _Packing, _zdiv,
-                               _zmul, symbolic_rank, unit_field)
+                               _zmul, generic_rank, symbolic_rank, unit_field)
 from flatcheck.prolong import (build_prolonged, delta_generators,
                                g_level_fields)
 
@@ -298,3 +298,19 @@ def test_certified_membership_widens_the_packing_for_the_probe():
     assert symbolic_rank(dist.generators + [probe], space)[0] == 2
     assert dist.contains_certified(dist.generators[0].scale(
         Expr.var(x1) ** 65 - Expr.var(x2) ** 72))
+
+
+@pytest.mark.xfail(strict=True, reason="_detrig_poly clears (1 + t^2) with "
+                   "each entry's own trig degree, not the row's")
+def test_tan_half_clearing_keeps_the_rank_of_a_row_with_mixed_trig_degree():
+    # g3 = g1 + g2, so the rank is 2; g2's d/dx3 entry has trig degree 1
+    # and its d/dx2 entry degree 0
+    xs = tuple(state_var(i, "x%d" % i) for i in range(1, 5))
+    space = JetSpace(n=4, m=0, j=MultiIndex(()), coords=xs,
+                     trig_bases=xs[3:])
+    one = Expr.one()
+    g1 = VectorField(space, {xs[0]: one, xs[2]: one})
+    g2 = VectorField(space, {xs[1]: one, xs[2]: Expr.var(sin_var(xs[3]))})
+    fields = [g1, g2, g1 + g2]
+    assert generic_rank(fields, space, symbolic=False).sampled_rank == 2
+    assert symbolic_rank(fields, space)[0] == 2

@@ -297,6 +297,7 @@ def test_certificates_are_computed_on_first_read(chained, driftless, clm,
         dists = [d for ps in ctx._ps.values() for d in ps._dist_cache.values()]
         homes = list(ctx._homes.values())
         assert dists and homes
+        assert all(ps.points is ctx.points for ps in ctx._ps.values())
         for dist in dists + homes:
             lazy = dist.certificate
             eager = generic_rank(dist.generators, dist.space, seed=dist.seed,
@@ -304,10 +305,9 @@ def test_certificates_are_computed_on_first_read(chained, driftless, clm,
                                  base_point=ctx.base_point)
             assert (lazy.rank, lazy.sampled_rank, lazy.symbolic_rank) == \
                 (eager.rank, eager.sampled_rank, eager.symbolic_rank)
-            # a home keeps the shared points it sampled at, the others
-            # their own draws
-            echelons = eager.echelons if dist in dists else \
-                ctx.points.echelons(dist.generators, dist.samples)
+            # a home and a prolonged system's distribution keep the shared
+            # points they sampled at (`ps.points`, which is `ctx.points`)
+            echelons = ctx.points.echelons(dist.generators, dist.samples)
             assert lazy.points == [e.point for e in echelons]
             assert [e.rows for e in lazy.echelons] == \
                 [e.rows for e in echelons]

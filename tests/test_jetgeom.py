@@ -7,9 +7,10 @@ import pytest
 from flatcheck.expr import Expr, fraction_mod, state_var, tan_half_values
 from flatcheck.jetgeom import (FP, Distribution, MultiIndex, PointEchelon,
                                SpaceMismatch, VectorField, ad_pow,
-                               bracket_failures, fraction_rank, lie_bracket,
-                               unit_field)
-from flatcheck.prolong import build_prolonged, delta_filtration, g_filtration
+                               bracket_failures, brackets_to_zero,
+                               fraction_rank, lie_bracket, unit_field)
+from flatcheck.prolong import (build_prolonged, delta_filtration, g_filtration,
+                               g_level_fields)
 
 from conftest import oracle_bracket, random_field, random_system
 from paper_identities import (IterationBudgetExceeded, ad_top, cmin,
@@ -222,6 +223,24 @@ def test_bracket_failures_lazy_in_pair_order(chained):
     probed = []
     first = next(bracket_failures(pairs, lambda v: probed.append(v) or False))
     assert first == want[0] and probed == [want[0][2]]
+
+
+def test_structurally_skipped_pairs_bracket_to_zero(chained, driftless, clm,
+                                                   pendulum, threeinput):
+    skipped = nonzero = 0
+    for sysdef in (chained, driftless, clm, pendulum, threeinput):
+        ps = build_prolonged(sysdef, [1] * sysdef.m)
+        fields = [ps.g0] + [unit_field(ps.space, c) for c in ps.space.coords]
+        fields += [g for r in range(3) for g in g_level_fields(ps, r)]
+        for a, b in itertools.product(fields, repeat=2):
+            br = lie_bracket(a, b)
+            if brackets_to_zero(a, b):
+                assert br.is_zero(), (sysdef.name, a, b)
+                # a copy on another space carries the same variables
+                assert brackets_to_zero(a.on(ps.space), b)
+                skipped += 1
+            nonzero += not br.is_zero()
+    assert skipped and nonzero
 
 
 def test_membership_reuses_the_rank_sampling_echelons(chained, monkeypatch):

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from flatcheck.expr import Expr
-from flatcheck.jetgeom import (MultiIndex, VectorField, ad_pow, lie_bracket,
-                               unit_field)
+from flatcheck.expr import DenominatorVanishes, Expr
+from flatcheck.jetgeom import (Distribution, MultiIndex, SamplePoints,
+                               VectorField, ad_pow, lie_bracket, unit_field)
 from flatcheck.prolong import (build_prolonged, delta_filtration,
-                               delta_generators, g_filtration, g_stabilization,
-                               gamma_coordinates, gamma_filtration)
+                               delta_generators, g_filtration, g_level_fields,
+                               g_stabilization, gamma_coordinates,
+                               gamma_filtration)
 from flatcheck.flatness import Budgets, Context
 from flatcheck.sysdsl import SystemDef, parse_system
 
@@ -137,6 +138,127 @@ def test_g_stabilization_bound(chained):
     ranks, kstar = g_stabilization(ps)
     assert kstar == 7 <= chained.n + 4
     assert ranks == [2, 4, 6, 8, 9, 10, 11, 12]
+
+
+# -- the nested G filtration ---------------------------------------------------
+
+CHAIN_JS = {"chained": [(0, 0), (4, 0)], "driftless": [(0, 0), (2, 0)],
+            "clm": [(0, 0), (0, 3)], "pendulum": [(0, 0), (1, 1)],
+            "threeinput": [(0, 0, 0), (1, 0, 0)]}
+
+
+def _chains(fixtures, seeds=(0, 11)):
+    """(ps, [G_0, ..., G_{k*+1}]) for each fixture, j and seed, each G_k
+    built by `g_stabilization` and so extended from G_{k-1}."""
+    for sysdef in fixtures:
+        for j in CHAIN_JS[sysdef.name]:
+            for seed in seeds:
+                ps = build_prolonged(sysdef, j, seed=seed,
+                                     base_point=sysdef.base_point().resolved())
+                _, kstar = g_stabilization(ps)
+                yield ps, [g_filtration(ps, k) for k in range(kstar + 2)]
+
+
+def _from_scratch(ps, dist):
+    return Distribution(ps.space, dist.generators, seed=ps.seed,
+                        samples=ps.samples, base_point=ps.base_point,
+                        points=ps.points)
+
+
+def _full_sweep(dist):
+    """(ok, first failure) of every generator pair, in combinations order."""
+    for a, b in itertools.combinations(dist.generators, 2):
+        br = lie_bracket(a, b)
+        if not br.is_zero() and not dist.contains(br):
+            return False, (a, b, br)
+    return True, None
+
+
+def test_extended_g_echelons_equal_a_build_from_scratch(chained, driftless,
+                                                        clm, pendulum,
+                                                        threeinput):
+    extended = 0
+    for ps, dists in _chains((chained, driftless, clm, pendulum, threeinput)):
+        for k, dist in enumerate(dists):
+            assert dist._extended == (k > 0), (ps.sysdef.name, ps.j, k)
+            extended += dist._extended
+            fresh = _from_scratch(ps, dist)
+            got, want = dist.certified(False), fresh.certified(False)
+            assert got.points == want.points
+            assert [e.rows for e in got.echelons] == \
+                [e.rows for e in want.echelons]
+            assert dist.sampled_rank == fresh.sampled_rank
+            assert (got.base_point_rank, got.base_point_drop) == \
+                (want.base_point_rank, want.base_point_drop)
+            assert dist._base_echelon().rows == fresh._base_echelon().rows
+            assert dist.rank == fresh.rank
+    assert extended > 50
+
+
+def test_involutivity_on_the_new_pairs_matches_the_full_sweep(
+        chained, driftless, clm, pendulum, threeinput):
+    shortcut = failed_on_new_pairs = after_a_failure = 0
+    for ps, dists in _chains((chained, driftless, clm, pendulum, threeinput)):
+        for k, dist in enumerate(dists):
+            prefix = dists[k - 1] if k else None
+            new_pairs_only = bool(prefix and dist._extended
+                                  and prefix.is_involutive()[0])
+            got = dist.is_involutive()
+            want = _full_sweep(_from_scratch(ps, dist))
+            assert got[0] == want[0], (ps.sysdef.name, ps.j, k)
+            if not got[0]:
+                assert got[1][:2] == want[1][:2]
+                assert got[1][2] == want[1][2]
+            shortcut += new_pairs_only
+            failed_on_new_pairs += new_pairs_only and not got[0]
+            after_a_failure += bool(prefix) and not prefix.is_involutive()[0]
+    # pendulum's static G_2 fails on a new pair; driftless' G_3 at j = 0
+    # follows a non-involutive G_2
+    assert shortcut and failed_on_new_pairs and after_a_failure
+
+
+def test_involutivity_sweeps_only_the_new_pairs(pendulum, monkeypatch):
+    from flatcheck import jetgeom
+    ps = build_prolonged(pendulum, [0, 0])
+    g0, g1 = g_filtration(ps, 0), g_filtration(ps, 1)
+    assert g0.is_involutive()[0]
+    swept = []
+    orig = jetgeom.bracket_failures
+
+    def counted(pairs, member, bracket=None):
+        pairs = list(pairs)
+        swept.extend(pairs)
+        return orig(pairs, member, bracket)
+
+    monkeypatch.setattr(jetgeom, "bracket_failures", counted)
+    assert g1.is_involutive()[0]
+    old = len(g0.generators)
+    assert swept == [(a, b) for a, b in
+                     itertools.combinations(g1.generators, 2)
+                     if g1.generators.index(b) >= old]
+
+
+def test_a_pole_at_a_prefix_point_falls_back_to_a_fresh_sample(chained,
+                                                               monkeypatch):
+    ps = build_prolonged(chained, [1, 0])
+    level1 = {f.key() for f in g_level_fields(ps, 1)}
+    orig = SamplePoints.row
+
+    def pole_at_point_0(self, v, point):
+        if point.index == 0 and v.key() in level1:
+            raise DenominatorVanishes(point)
+        return orig(self, v, point)
+
+    monkeypatch.setattr(SamplePoints, "row", pole_at_point_0)
+    g0, g1 = g_filtration(ps, 0), g_filtration(ps, 1)
+    assert g0._extended is False and g1._extended is False
+    assert [p.index for p in g0.certified(False).points] == [0, 1, 2, 3, 4]
+    assert [p.index for p in g1.certified(False).points] == [1, 2, 3, 4, 5]
+    fresh = _from_scratch(ps, g1)
+    assert [e.rows for e in g1.certified(False).echelons] == \
+        [e.rows for e in fresh.certified(False).echelons]
+    assert g1.sampled_rank == fresh.sampled_rank == 4
+    assert g1.is_involutive() == _full_sweep(fresh)
 
 
 # -- decomposition ------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Sampled rank and membership (over F_p) against sympy's exact rank of the
 coefficient matrix over the field of rational functions, on random small
-systems; and the sparse rational echelon against sympy's rank and nullspace
-(skips when sympy is not installed)."""
+systems; the sparse rational echelon against sympy's rank and nullspace;
+and `lie_bracket` against sympy's derivatives (skips when sympy is not
+installed)."""
 
 import itertools
 import random
@@ -12,9 +13,10 @@ import pytest
 sp = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from flatcheck.expr import Expr  # noqa: E402
-from flatcheck.jetgeom import (Distribution, PointEchelon,  # noqa: E402
-                               VectorField, generic_rank, lie_bracket)
+from flatcheck.expr import Expr, cos_var, sin_var, state_var  # noqa: E402
+from flatcheck.jetgeom import (Distribution, JetSpace,  # noqa: E402
+                               MultiIndex, PointEchelon, VectorField,
+                               brackets_to_zero, generic_rank, lie_bracket)
 from flatcheck.prolong import build_prolonged, g_level_fields  # noqa: E402
 
 from conftest import random_field, random_system  # noqa: E402
@@ -95,3 +97,77 @@ def test_point_echelon_rank_and_nullspace_match_sympy():
         assert [[sp.Rational(a) for a in vec] for vec in ech.nullspace(ncols)] \
             == [list(vec) for vec in matrix.nullspace()], rows
     assert zero_cols and single_rows
+
+
+def _bracket_space() -> JetSpace:
+    xs = tuple(state_var(i, "x%d" % i) for i in range(1, 5))
+    return JetSpace(n=4, m=0, j=MultiIndex(()), coords=xs, trig_bases=xs[3:])
+
+
+def _random_coefficient(rng, letters) -> Expr:
+    """A polynomial in a few of `letters`, over a linear denominator a
+    third of the time."""
+    e = Expr.zero()
+    for _ in range(rng.randint(1, 2)):
+        term = Expr.rational(rng.choice([-2, -1, 1, 3]))
+        for _ in range(rng.randint(0, 2)):
+            term = term * Expr.var(rng.choice(letters))
+        e = e + term
+    if rng.random() < 0.3:
+        e = e / (Expr.var(rng.choice(letters)) + Expr.rational(rng.randint(1, 3)))
+    return e
+
+
+def _random_bracket_field(rng, space) -> VectorField:
+    # few coordinates and few letters each, so that many pairs bracket to
+    # zero structurally
+    base = space.coords[3]
+    letters = rng.sample(space.coords, rng.randint(1, 2))
+    if rng.random() < 0.3:
+        letters.append(rng.choice([sin_var(base), cos_var(base)]))
+    return VectorField(space, {c: _random_coefficient(rng, letters)
+                               for c in rng.sample(space.coords,
+                                                   rng.randint(1, 2))})
+
+
+def test_lie_bracket_matches_sympy_and_skipped_pairs_bracket_to_zero():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    space = _bracket_space()
+    xs = {c: sp.Symbol(c.label) for c in space.coords}
+    base = space.coords[3]
+    atoms = dict(xs)
+    atoms[sin_var(base)] = sp.sin(xs[base])
+    atoms[cos_var(base)] = sp.cos(xs[base])
+    # after differentiation, sin and cos by tan-half: then sin^2 + cos^2 = 1,
+    # which the library may use, holds as an identity of rational functions
+    t = sp.Symbol("t")
+    trig = {atoms[sin_var(base)]: 2 * t / (1 + t ** 2),
+            atoms[cos_var(base)]: (1 - t ** 2) / (1 + t ** 2)}
+    seen = {"skipped": 0, "nonzero": 0}
+
+    def sym(v: VectorField, c):
+        return _to_sympy(v.coeff(c), atoms)
+
+    def is_zero(e) -> bool:
+        return sp.cancel(e.subs(trig)) == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        v, w = (_random_bracket_field(rng, space) for _ in range(2))
+        got = lie_bracket(v, w)
+        for c in space.coords:
+            want = sum((sym(v, d) * sp.diff(sym(w, c), xs[d])
+                        - sym(w, d) * sp.diff(sym(v, c), xs[d])
+                        for d in space.coords), sp.Integer(0))
+            assert is_zero(sym(got, c) - want), (v, w, c)
+            if brackets_to_zero(v, w):
+                assert is_zero(want), (v, w, c)
+        seen["skipped"] += brackets_to_zero(v, w)
+        seen["nonzero"] += not got.is_zero()
+
+    check()
+    assert seen["skipped"] and seen["nonzero"]
