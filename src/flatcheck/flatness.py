@@ -21,7 +21,7 @@ from .jetgeom import (FP, SYMBOLIC_MAX_DIM, Distribution, JetSpace,
                       lie_bracket, unit_field)
 from .prolong import (ProlongedSystem, build_prolonged, build_space,
                       g_filtration, g_level_fields, g_stabilization,
-                      gamma_coordinates, gamma_filtration)
+                      gamma_coordinates)
 from .report import INF, AnalysisReport, InitTrace, SigmaStep
 from .sysdsl import DslError, SystemDef, _Parser, tokenize
 
@@ -76,9 +76,9 @@ class Context:
       [d/dc, V] = dV/dc lies in it, depend only on the generators'
       coefficients, so a failure may hold fields of another prolongation's
       jet space; it is only rendered.
-    - Every home, and every distribution of a prolonged system from `ps`,
-      samples at the shared `points`, so a field's row at a point is
-      evaluated once per analysis."""
+    - Every home, every distribution of a prolonged system from `ps`, and
+      the H_1 of each initialization sample at the shared `points`, so a
+      field's row at a point is evaluated once per analysis."""
 
     def __init__(self, sysdef: SystemDef, budgets: Budgets):
         self.sysdef = sysdef
@@ -324,7 +324,7 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
             full <= SYMBOLIC_MAX_DIM))
         g_certs.append(gdist.certificate)
         d_ranks.append(d_certs[-1].rank)
-        gam_ranks.append(gamma_filtration(ps, k).rank)
+        gam_ranks.append(len(gamma_coordinates(sysdef, j, k)))
         g_ranks.append(gdist.rank)
         inv_ok, inv_fail = ctx.delta_involutive(tuple(j), k)
         gam_ok, gam_fail = ctx.gamma_invariant(tuple(j), k)
@@ -421,7 +421,7 @@ def _h1_distribution(ctx: Context, kept: Sequence[int]) -> Distribution:
         gens.append(ps0.gi[p - 1])
         gens.append(level1[p - 1])
     return Distribution(ps0.space, gens, seed=ctx.budgets.seed,
-                        samples=ctx.budgets.samples)
+                        samples=ctx.budgets.samples, points=ctx.points)
 
 
 def _embed(init: Initialization, m: int, assign: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -700,8 +700,7 @@ def _chain_jacobian_certificate(ps: ProlongedSystem, candidates, assign):
     for y, kap in zip(candidates, assign):
         for phi in _chain(ps, y, kap):
             rows.append(_gradient_field(ps, phi))
-    cert = generic_rank(rows, ps.space, seed=ps.seed, samples=ps.samples,
-                        base_point=ps.base_point)
+    cert = generic_rank(rows, ps.space, samples=ps.samples, points=ps.points)
     polys = list(cert.factors)
     for row in rows:
         for e in row.coeffs.values():
@@ -823,7 +822,7 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
         dependent or has a pole at the point."""
         out = ech.copy()
         try:
-            if all(out.insert(r.eval_row(out.point, out.field)) for r in rows):
+            if all(out.insert(ps.points.row(r, out.point)) for r in rows):
                 return out
         except DenominatorVanishes:
             pass

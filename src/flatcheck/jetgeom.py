@@ -11,8 +11,8 @@ import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from .expr import (PARAM, SIN, Expr, Poly, VarRef, cos_var, mono_div, pconst,
                    pdivexact, pleading, pmonomial_content, pmul,
@@ -184,14 +184,13 @@ class VectorField:
             self.variables()
         return out
 
-    def eval_row(self, point: dict, field=None) -> Dict[int, object]:
-        """The sparse row {column: coefficient} at `point`, nonzero entries
-        only, in `field` (Q by default)."""
-        field = field or QQ
+    def eval_row(self, point: dict) -> Dict[int, Fraction]:
+        """The sparse row {column: coefficient} at a rational `point`,
+        nonzero entries only."""
         row = {}
         col = self.space.col
         for v, e in self.coeffs.items():
-            a = field.value(e, point)
+            a = e.eval_at(point)
             if a:
                 row[col(v)] = a
         return row
@@ -271,10 +270,6 @@ class RationalField:
     zero, one = Fraction(0), Fraction(1)
 
     @staticmethod
-    def value(e: Expr, point) -> Fraction:
-        return e.eval_at(point)
-
-    @staticmethod
     def neg(a: Fraction) -> Fraction:
         return -a
 
@@ -303,9 +298,6 @@ class PrimeField:
 
     def __init__(self, p: int):
         self.p = p
-
-    def value(self, e: Expr, point) -> int:
-        return e.eval_mod(point, self.p)
 
     def neg(self, a: int) -> int:
         return -a % self.p
@@ -405,8 +397,21 @@ class SamplePoints:
 
     def echelons(self, fields: Sequence[VectorField],
                  samples: int) -> List[PointEchelon]:
-        return _sample_echelons(fields, samples,
-                                map(self.point, itertools.count()), self.row)
+        """The F_p echelons of the fields' rows at the first `samples` points
+        where none of them has a pole, drawing at most 60 points for each."""
+        out: List[PointEchelon] = []
+        points = map(self.point, itertools.count())
+        for _ in range(samples):
+            for _attempt, pt in zip(range(60), points):
+                try:
+                    rows = [self.row(f, pt) for f in fields]
+                except DenominatorVanishes:
+                    continue
+                out.append(PointEchelon.of(rows, pt, FP))
+                break
+            else:
+                raise SamplingExhausted("could not sample a denominator-avoiding point")
+        return out
 
     def extend(self, echelons: Sequence[PointEchelon],
                fields: Sequence[VectorField]) -> Optional[List[PointEchelon]]:
@@ -423,27 +428,6 @@ class SamplePoints:
                 return None
             out.append(ech)
         return out
-
-
-def _sample_echelons(fields: Sequence[VectorField], samples: int,
-                     points: Iterator[dict],
-                     row: Callable[[VectorField, dict], Dict[int, int]]
-                     ) -> List[PointEchelon]:
-    """The F_p echelons of the fields' rows at the first `samples` of
-    `points` where none of them has a pole, drawing at most 60 points for
-    each."""
-    out: List[PointEchelon] = []
-    for _ in range(samples):
-        for _attempt, pt in zip(range(60), points):
-            try:
-                rows = [row(f, pt) for f in fields]
-            except DenominatorVanishes:
-                continue
-            out.append(PointEchelon.of(rows, pt, FP))
-            break
-        else:
-            raise SamplingExhausted("could not sample a denominator-avoiding point")
-    return out
 
 
 def fraction_rank(rows: List[Dict[int, Fraction]]) -> int:
@@ -599,11 +583,6 @@ class RankCertificate:
     # the symbolic pass's steps, which certified membership replays
     elimination: Optional["Elimination"] = None
 
-    def at_base_point(self, rank: Optional[int]):
-        """Record the rank at the base point, None at a pole there."""
-        self.base_point_rank = rank
-        self.base_point_drop = rank is None or rank < self.rank
-
     def factor_strings(self) -> List[str]:
         seen = []
         for f in self.factors:
@@ -611,14 +590,6 @@ class RankCertificate:
             if s not in seen:
                 seen.append(s)
         return seen
-
-
-def _stable_seed(seed: int, fields: Sequence[VectorField]) -> int:
-    blob = "|".join(
-        ";".join("%s=%s" % (v, render_expr(e))
-                 for v, e in sorted(f.coeffs.items(), key=lambda p: p[0].sort_key()))
-        for f in fields)
-    return (seed & 0xFFFFFFFF) * 0x10001 + zlib.crc32(blob.encode())
 
 
 _TANHALF: Dict[VarRef, VarRef] = {}
@@ -630,52 +601,43 @@ def _tanhalf_var(base: VarRef) -> VarRef:
     return _TANHALF[base]
 
 
-def _detrig_poly(p: Poly, bases: Sequence[VarRef]) -> Poly:
-    """Substitute the tan-half parametrization and clear the (1+t^2) powers.
+def _detrig_row(row: List[Poly], bases: Sequence[VarRef]) -> List[Poly]:
+    """Substitute the tan-half parametrization sin = 2t/(1+t^2),
+    cos = (1-t^2)/(1+t^2) into every entry of a row, and clear the
+    denominators with the row's largest power of (1+t^2) per trig base.
 
-    Rank computations are invariant under scaling rows by the everywhere
-    positive (1+t^2), so the cleared denominator is dropped."""
-    present = [b for b in bases
-               if any(v.is_trig() and v.base == b for m in p for v, _ in m)]
-    if not present:
-        return dict(p)
-    out = dict(p)
-    for b in present:
-        t = _tanhalf_var(b)
+    Every entry, a trig-free one too, is scaled by the same everywhere
+    positive factor, so the row spans the same line and ranks are kept."""
+    for b in bases:
         sv, cv = sin_var(b), cos_var(b)
-        t2p1 = {MONO_ONE: Fraction(1), ((t, 2),): Fraction(1)}
+        deg = max((sum(e for v, e in m if v in (sv, cv)) for p in row
+                   for m in p), default=0)
+        if not deg:
+            continue
+        t = _tanhalf_var(b)
         two_t = {((t, 1),): Fraction(2)}
         one_m_t2 = {MONO_ONE: Fraction(1), ((t, 2),): Fraction(-1)}
-        deg = 0
-        for m in out:
-            d = sum(e for v, e in m if v in (sv, cv))
-            deg = max(deg, d)
-        new: Poly = {}
-        for m, c in out.items():
-            a = b_ = 0
-            rest = []
-            for v, e in m:
-                if v == sv:
-                    a = e
-                elif v == cv:
-                    b_ = e
-                else:
-                    rest.append((v, e))
-            term = {tuple(rest): c}
-            for _ in range(a):
-                term = pmul(term, two_t)
-            for _ in range(b_):
-                term = pmul(term, one_m_t2)
-            for _ in range(deg - a - b_):
-                term = pmul(term, t2p1)
-            for mm, cc in term.items():
-                val = new.get(mm, Fraction(0)) + cc
-                if val:
-                    new[mm] = val
-                else:
-                    new.pop(mm, None)
-        out = new
-    return out
+        one_p_t2 = {MONO_ONE: Fraction(1), ((t, 2),): Fraction(1)}
+        new_row = []
+        for p in row:
+            new: Poly = {}
+            for m, c in p.items():
+                exps = dict(m)
+                a, b_ = exps.get(sv, 0), exps.get(cv, 0)
+                term = {tuple(ve for ve in m if ve[0] not in (sv, cv)): c}
+                for factor, power in ((two_t, a), (one_m_t2, b_),
+                                      (one_p_t2, deg - a - b_)):
+                    for _ in range(power):
+                        term = pmul(term, factor)
+                for mm, cc in term.items():
+                    val = new.get(mm, 0) + cc
+                    if val:
+                        new[mm] = val
+                    else:
+                        new.pop(mm, None)
+            new_row.append(new)
+        row = new_row
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -835,18 +797,19 @@ def _integer_row(f: VectorField, space: JetSpace):
                      key=lambda p: p[0])
     dens = [(c, e.den) for c, e in entries if e.den != _QONE]
     scaled = []
-    lcm = 1
     for c, e in entries:
         p = e.num
         for cd, d in dens:
             if cd != c:
                 p = pmul(p, d)
-        p = _detrig_poly(p, space.trig_bases)
+        scaled.append(p)
+    scaled = _detrig_row(scaled, space.trig_bases)
+    lcm = 1
+    for p in scaled:
         for q in p.values():
             lcm = lcm * q.denominator // gcd(lcm, q.denominator)
-        scaled.append((c, p))
     row: List[dict] = [{} for _ in space.coords]
-    for c, p in scaled:
+    for (c, _), p in zip(entries, scaled):
         row[c] = {m: q.numerator * (lcm // q.denominator)
                   for m, q in p.items()}
     return row, [d for _, d in dens]
@@ -911,7 +874,8 @@ def symbolic_rank(fields: Sequence[VectorField],
     """Fraction-free (Bareiss) elimination over Z[x] of the fields' rows.
 
     Returns (rank, factor polys): pivots and cleared row denominators,
-    normalized; tan-half clearing factors are not reported.  Each row is
+    normalized; no power of 1 + t^2, t a tan-half parameter, is reported,
+    as it is positive on R.  Each row is
     scaled by a positive integer to clear its coefficients' denominators,
     which scales every minor by a positive integer: the factors, normalized
     by `_factor_polys`, are those of the elimination over Q."""
@@ -930,6 +894,8 @@ def symbolic_rank(fields: Sequence[VectorField],
     packing = _Packing(variables, 2 * degree)
     rows = [packing.row(row) for row in rows]
     guard = packing.guard
+    squares = [{packing.pack(MONO_ONE): 1, packing.pack(((t, 2),)): 1}
+               for t in _TANHALF.values() if t in variables]
     steps = []
     rank = 0
     prev = None
@@ -940,7 +906,14 @@ def symbolic_rank(fields: Sequence[VectorField],
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         prow = rows[rank]
-        accumulate_factors(factors, _factor_polys(packing.poly(prow[col])))
+        pivot = prow[col]
+        for square in squares:
+            while True:
+                try:
+                    pivot = _zdiv(pivot, square, guard)
+                except ArithmeticError:
+                    break
+        accumulate_factors(factors, _factor_polys(packing.poly(pivot)))
         for r in range(rank + 1, nrows):
             _bareiss_step(rows[r], col, prow, prev, guard)
         steps.append((col, prow, prev))
@@ -949,59 +922,6 @@ def symbolic_rank(fields: Sequence[VectorField],
         if rank == nrows:
             break
     return Elimination(rank, factors, space, steps, packing, degree)
-
-
-def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
-                 samples: int = 5, base_point: Optional[Dict[VarRef, Fraction]] = None,
-                 symbolic: Optional[bool] = None) -> RankCertificate:
-    """Generic rank by evaluation at random rational points, taken mod
-    p = 2^61 - 1 (max over points), then `certify`: cross-checked by
-    fraction-free elimination when dim <= 12.  With symbolic=False and no
-    base point, only the sampled pass.
-
-    Rank mod p at a point never exceeds the rank over Q there, so a sampled
-    rank is a lower bound of the generic rank, as over Q; it falls short
-    only where p divides a nonzero minor, or where the point lies on the
-    zero set of one (Schwartz-Zippel)."""
-    fields = [f for f in fields if not f.is_zero()]
-    if not fields:
-        return RankCertificate(0, 0, 0, [], [])
-    rng = random.Random(_stable_seed(seed, fields))
-    echelons = _sample_echelons(fields, samples,
-                                iter(lambda: space.sample_point(rng), None),
-                                lambda f, pt: f.eval_row(pt, FP))
-    return certify(fields, space, [e.point for e in echelons], echelons,
-                   base_point=base_point, symbolic=symbolic)
-
-
-def certify(fields: Sequence[VectorField], space: JetSpace,
-            points: List[Dict[VarRef, int]], echelons: List[PointEchelon],
-            base_point: Optional[Dict[VarRef, Fraction]] = None,
-            symbolic: Optional[bool] = None) -> RankCertificate:
-    """The exact step of `generic_rank` on the sampled pass's own points:
-    fraction-free elimination when dim <= 12 (or as `symbolic` says), and
-    the rank at the base point."""
-    if not fields:
-        return RankCertificate(0, 0, 0, [], [])
-    sampled = max(ech.rank for ech in echelons)
-    sym_rank = elimination = None
-    factors: List[Poly] = []
-    if symbolic is None:
-        symbolic = space.dim <= SYMBOLIC_MAX_DIM
-    if symbolic:
-        elimination = symbolic_rank(fields, space)
-        sym_rank, factors = elimination
-    rank = sym_rank if sym_rank is not None else sampled
-    cert = RankCertificate(rank, sampled, sym_rank, points, echelons,
-                           factors=factors, elimination=elimination)
-    if base_point is not None:
-        bp = _on_jet_origin(base_point, space)
-        try:
-            bp_rank = fraction_rank([f.eval_row(bp) for f in fields])
-        except DenominatorVanishes:
-            bp_rank = None
-        cert.at_base_point(bp_rank)
-    return cert
 
 
 def _on_jet_origin(base_point: Dict[VarRef, Fraction],
@@ -1021,11 +941,12 @@ _UNSET = object()
 
 
 class Distribution:
-    """Finite-generator distribution.  The rank-sampling echelons are built
-    with it and serve membership and involutivity: at points drawn on its
-    space from its generators, or at the shared `points` of an analysis.
-    The exact certificate (Bareiss elimination, base-point rank) is computed
-    on the first read of `rank`, `certificate` or `certified`.
+    """Finite-generator distribution, sampled at `points`: the shared
+    `SamplePoints` of an analysis, or its own `SamplePoints(seed)`.  The
+    rank-sampling echelons are built with it and serve membership and
+    involutivity.  The exact certificate (Bareiss elimination, base-point
+    rank) is computed on the first read of `rank`, `certificate` or
+    `certified`.
 
     A `prefix`, a distribution on the same space, points and base point
     whose (nonempty) generators begin this one's, is extended rather than
@@ -1052,27 +973,26 @@ class Distribution:
         self.seed = seed
         self.samples = samples
         self._base_point = base_point
+        if points is None:
+            points = SamplePoints(seed)
         self._points = points
         self._prefix = prefix
         self._base_ech = _UNSET
+        echs = None if prefix is None else points.extend(
+            prefix._sampled, gens[len(prefix.generators):])
         # whether the sample echelons extend the prefix's
-        self._extended = False
-        if points is None:
-            self._sampled = generic_rank(gens, space, seed=seed,
-                                         samples=samples, symbolic=False)
-        else:
-            echs = None if prefix is None else points.extend(
-                prefix._sampled.echelons, gens[len(prefix.generators):])
-            self._extended = echs is not None
-            if echs is None:
-                echs = points.echelons(gens, samples)
-            self._sampled = certify(gens, space, [e.point for e in echs],
-                                    echs, symbolic=False)
+        self._extended = echs is not None
+        if echs is None:
+            echs = points.echelons(gens, samples)
+        # the F_p echelon of the generator rows at each sample point
+        self._sampled = echs
+        # the rank of the sampled pass, with no exact work
+        self.sampled_rank = max((ech.rank for ech in self._sampled),
+                                default=0)
         self._certificates: Dict[bool, RankCertificate] = {}
-        best = self._sampled.sampled_rank
         # membership probes reduce against the echelons of the top-rank points
-        self._echelons = [ech for ech in self._sampled.echelons
-                          if ech.rank == best]
+        self._echelons = [ech for ech in self._sampled
+                          if ech.rank == self.sampled_rank]
         self._involutive: Optional[tuple] = None
         self._coordinate_failures: Dict[VarRef, Optional[tuple]] = {}
 
@@ -1098,15 +1018,27 @@ class Distribution:
 
     def certified(self, symbolic: bool) -> RankCertificate:
         """The certificate with (or without) the fraction-free elimination,
-        computed once per choice.  Neither depends on the space beyond the
-        coordinates the generators involve, so one distribution certifies
-        for every prolongation that has its generators."""
+        computed once per choice: the elimination's rank if it ran, else
+        the sampled rank, and the rank at the base point if there is one.
+        Neither depends on the space beyond the coordinates the generators
+        involve, so one distribution certifies for every prolongation that
+        has its generators."""
         if symbolic not in self._certificates:
-            cert = certify(self.generators, self.space, self._sampled.points,
-                           self._sampled.echelons, symbolic=symbolic)
-            if self._base_point is not None and self.generators:
-                ech = self._base_echelon()
-                cert.at_base_point(None if ech is None else ech.rank)
+            cert = RankCertificate(0, 0, 0, [], [])
+            if self.generators:
+                sampled = self.sampled_rank
+                elimination = symbolic_rank(self.generators, self.space) \
+                    if symbolic else None
+                sym_rank, factors = elimination or (None, [])
+                cert = RankCertificate(
+                    sampled if sym_rank is None else sym_rank, sampled,
+                    sym_rank, [ech.point for ech in self._sampled],
+                    self._sampled, factors=factors, elimination=elimination)
+                if self._base_point is not None:
+                    # the rank at the base point, None at a pole there
+                    ech = self._base_echelon()
+                    cert.base_point_rank = None if ech is None else ech.rank
+                    cert.base_point_drop = ech is None or ech.rank < cert.rank
             self._certificates[symbolic] = cert
         return self._certificates[symbolic]
 
@@ -1117,16 +1049,6 @@ class Distribution:
     @property
     def rank(self) -> int:
         return self.certificate.rank
-
-    @property
-    def sampled_rank(self) -> int:
-        """The rank of the sampled pass, with no exact work."""
-        return self._sampled.sampled_rank
-
-    def _row(self, v: VectorField, point) -> Dict[int, int]:
-        if self._points is None:
-            return v.eval_row(point, FP)
-        return self._points.row(v, point)
 
     def contains(self, v: VectorField) -> bool:
         """True iff adjoining v does not raise the generic rank."""
@@ -1139,19 +1061,20 @@ class Distribution:
         probed = False
         for ech in self._echelons:
             try:
-                row = self._row(v, ech.point)
+                row = self._points.row(v, ech.point)
             except DenominatorVanishes:
                 continue
             probed = True
             if ech.residual(row) is not None:
                 return False
         if not probed:
-            # every cached point hit a pole of v: sample afresh, and compare
+            # every top-rank point hit a pole of v: sample the generators
+            # and v at the first points where v has none, and compare
             # sampled rank with sampled rank
             aug = generic_rank(self.generators + [v], self.space,
-                               seed=self.seed + 1, samples=self.samples,
-                               symbolic=False)
-            return aug.sampled_rank <= self._sampled.sampled_rank
+                               samples=self.samples, symbolic=False,
+                               points=self._points)
+            return aug.sampled_rank <= self.sampled_rank
         return True
 
     def contains_certified(self, v: VectorField) -> bool:
@@ -1181,7 +1104,7 @@ class Distribution:
             pairs = itertools.combinations(gens, 2)
             if self._extended and prefix._involutive is not None and \
                     prefix._involutive[0] and \
-                    len(prefix._echelons) == len(prefix._sampled.echelons):
+                    len(prefix._echelons) == len(prefix._sampled):
                 old = len(prefix.generators)
                 pairs = ((gens[a], gens[b]) for a in range(len(gens))
                          for b in range(max(a + 1, old), len(gens)))
@@ -1200,6 +1123,23 @@ class Distribution:
             self._coordinate_failures[c] = next(bracket_failures(
                 pairs, self.contains, bracket), None)
         return self._coordinate_failures[c]
+
+
+def generic_rank(fields: Sequence[VectorField], space: JetSpace, seed: int = 0,
+                 samples: int = 5, symbolic: Optional[bool] = None,
+                 points: Optional[SamplePoints] = None) -> RankCertificate:
+    """The certificate of the fields' `Distribution`: their rank mod
+    p = 2^61 - 1 at `samples` points of `points` (`SamplePoints(seed)` by
+    default), the max over points, cross-checked by fraction-free
+    elimination when dim <= 12 (or as `symbolic` says).
+
+    Rank mod p at a point never exceeds the rank over Q there, so a sampled
+    rank is a lower bound of the generic rank, as over Q; it falls short
+    only where p divides a nonzero minor, or where the point lies on the
+    zero set of one (Schwartz-Zippel)."""
+    dist = Distribution(space, fields, seed=seed, samples=samples,
+                        points=points)
+    return dist.certificate if symbolic is None else dist.certified(symbolic)
 
 
 class CoordinateSpan:

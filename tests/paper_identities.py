@@ -12,6 +12,7 @@ elimination over Q, which the elimination over Z[x] must agree with.
 """
 
 import itertools
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from flatcheck.expr import (UDERIV, Expr, Poly, VarRef, pconst, pdivexact,
@@ -20,7 +21,7 @@ from flatcheck.flatness import (Budgets, Context, Initialization, SigmaRun,
                                 _box_limit, _embed)
 from flatcheck.jetgeom import (CoordinateSpan, Distribution, JetSpace,
                                MultiIndex, SpaceMismatch, VectorField, ad_pow,
-                               _detrig_poly, _factor_polys, accumulate_factors,
+                               _detrig_row, _factor_polys, accumulate_factors,
                                bracket_failures, unit_field)
 from flatcheck.prolong import (ProlongedSystem, build_prolonged,
                                delta_filtration, g_filtration, g_stabilization,
@@ -273,11 +274,24 @@ def all_k_survivors(run: SigmaRun, box: int,
 # ---------------------------------------------------------------------------
 # The fraction-free elimination over Q
 
+def _without_squares(p: Poly) -> Poly:
+    """p over the largest power of 1 + t^2 dividing it, for each tan-half
+    parameter t (named tanhalf_<base>)."""
+    for t in {v for m in p for v, _ in m if v.name.startswith("tanhalf_")}:
+        square = {(): Fraction(1), ((t, 2),): Fraction(1)}
+        while True:
+            try:
+                p = pdivexact(p, square)
+            except ArithmeticError:
+                break
+    return p
+
+
 def q_symbolic_rank(fields: List[VectorField], space: JetSpace):
     """Fraction-free (Bareiss) elimination over the polynomial ring.
 
     Returns (rank, factor polys): pivots and cleared row denominators,
-    normalized; tan-half clearing factors are not reported."""
+    normalized; no power of 1 + t^2, t a tan-half parameter, is reported."""
     one = pconst(1)
     factors: List[Poly] = []
     rows: List[List[Poly]] = []
@@ -294,7 +308,7 @@ def q_symbolic_rank(fields: List[VectorField], space: JetSpace):
         for d in dens:
             if d != one:
                 accumulate_factors(factors, _factor_polys(d))
-        rows.append([_detrig_poly(p, space.trig_bases) for p in scaled])
+        rows.append(_detrig_row(scaled, space.trig_bases))
     rank = 0
     prev: Poly = pconst(1)
     nrows = len(rows)
@@ -308,7 +322,7 @@ def q_symbolic_rank(fields: List[VectorField], space: JetSpace):
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pivot = rows[rank][col]
-        accumulate_factors(factors, _factor_polys(pivot))
+        accumulate_factors(factors, _factor_polys(_without_squares(pivot)))
         for r in range(rank + 1, nrows):
             rc = rows[r][col]
             for c in range(col + 1, space.dim):

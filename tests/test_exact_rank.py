@@ -300,8 +300,6 @@ def test_certified_membership_widens_the_packing_for_the_probe():
         Expr.var(x1) ** 65 - Expr.var(x2) ** 72))
 
 
-@pytest.mark.xfail(strict=True, reason="_detrig_poly clears (1 + t^2) with "
-                   "each entry's own trig degree, not the row's")
 def test_tan_half_clearing_keeps_the_rank_of_a_row_with_mixed_trig_degree():
     # g3 = g1 + g2, so the rank is 2; g2's d/dx3 entry has trig degree 1
     # and its d/dx2 entry degree 0

@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from flatcheck.expr import Expr, render_expr
+from flatcheck.expr import (DenominatorVanishes, Expr, pmul, render_expr,
+                            render_poly)
 from flatcheck.flatness import (Budgets, CandidateCountMismatch, Context,
                                 Initialization, NotLinearizable, SigmaRun,
                                 _rendered, analyze, brunovsky_indices,
@@ -12,7 +14,8 @@ from flatcheck.flatness import (Budgets, CandidateCountMismatch, Context,
                                 verify_flat_output)
 from flatcheck import flatness, jetgeom
 from flatcheck.jetgeom import (MultiIndex, SpaceMismatch, bracket_failures,
-                               generic_rank, lie_bracket, unit_field)
+                               fraction_rank, generic_rank, lie_bracket,
+                               unit_field)
 from flatcheck.prolong import (build_prolonged, delta_filtration,
                                delta_generators, gamma_filtration)
 from flatcheck.report import INF
@@ -301,8 +304,7 @@ def test_certificates_are_computed_on_first_read(chained, driftless, clm,
         for dist in dists + homes:
             lazy = dist.certificate
             eager = generic_rank(dist.generators, dist.space, seed=dist.seed,
-                                 samples=dist.samples,
-                                 base_point=ctx.base_point)
+                                 samples=dist.samples)
             assert (lazy.rank, lazy.sampled_rank, lazy.symbolic_rank) == \
                 (eager.rank, eager.sampled_rank, eager.symbolic_rank)
             # a home and a prolonged system's distribution keep the shared
@@ -312,8 +314,16 @@ def test_certificates_are_computed_on_first_read(chained, driftless, clm,
             assert [e.rows for e in lazy.echelons] == \
                 [e.rows for e in echelons]
             assert lazy.factors == eager.factors
+            # the rank over Q at the jet origin of the base point
+            origin = {**{v: Fraction(0) for v in dist.space.coords},
+                      **ctx.base_point}
+            try:
+                at_origin = fraction_rank([g.eval_row(origin)
+                                           for g in dist.generators])
+            except DenominatorVanishes:
+                at_origin = None
             assert (lazy.base_point_rank, lazy.base_point_drop) == \
-                (eager.base_point_rank, eager.base_point_drop)
+                (at_origin, at_origin is None or at_origin < lazy.rank)
 
 
 def test_sigma_conditions_run_no_symbolic_elimination(chained, monkeypatch):
@@ -740,6 +750,67 @@ def test_base_point_flags_skip_the_tan_half_factor():
     flags = [w for w in rep.warnings if w.startswith("singular factor")]
     assert flags == ["singular factor sin(x2) vanishes at the base point",
                      "singular factor u1 vanishes at the base point"]
+
+
+def test_no_reported_factor_is_a_power_of_one_plus_a_tan_half_square():
+    # 1 + t^2, t = tan(x3/2), is positive on R, so no power of it is a rank
+    # drop; this system's elimination meets (1 + t^2)^2 as a pivot factor
+    sysdef = parse_system("system unicycle\nstate x1 x2 x3\ninput u1 u2\n"
+                          "dot x1 = u1*cos(x3)\ndot x2 = u1*sin(x3)\n"
+                          "dot x3 = u2\n")
+    rep = analyze(sysdef)
+    assert rep.verdict == "p2_flat" and rep.singular_locus
+    t = jetgeom._tanhalf_var(sysdef.state(3))
+    square = {(): Fraction(1), ((t, 2),): Fraction(1)}
+    power, powers = square, set()
+    for _ in range(8):
+        powers.add(render_poly(power))
+        power = pmul(power, square)
+    assert not powers & set(rep.singular_locus)
+
+
+def test_analyze_samples_every_distribution_at_the_shared_points(
+        chained, driftless, clm, pendulum, threeinput, monkeypatch):
+    # no draws of its own anywhere: every Distribution an analysis builds,
+    # the H_1 of an initialization and the chain Jacobian included, samples
+    # at the SamplePoints of its Context
+    contexts, built, drawn, inside = [], [], [], [None]
+    real_ctx, real_dist = Context.__init__, jetgeom.Distribution.__init__
+
+    def ctx_init(self, *args, **kwargs):
+        real_ctx(self, *args, **kwargs)
+        contexts.append(self)
+
+    def dist_init(self, *args, **kwargs):
+        real_dist(self, *args, **kwargs)
+        built.append((inside[0], self._points))
+
+    def within(name):
+        real = getattr(flatness, name)
+
+        def wrapped(*args, **kwargs):
+            inside[0] = name
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] = None
+        monkeypatch.setattr(flatness, name, wrapped)
+
+    monkeypatch.setattr(Context, "__init__", ctx_init)
+    monkeypatch.setattr(jetgeom.Distribution, "__init__", dist_init)
+    monkeypatch.setattr(jetgeom.JetSpace, "sample_point",
+                        lambda space, rng: drawn.append(space))
+    within("_h1_distribution")
+    within("_chain_jacobian_certificate")
+    seen = set()
+    for sysdef in (chained, driftless, clm, pendulum, threeinput):
+        del contexts[:], built[:]
+        analyze(sysdef, Budgets(seed=0))
+        assert len(contexts) == 1 and built, sysdef.name
+        assert all(points is contexts[0].points for _, points in built)
+        seen.update(name for name, _ in built)
+    assert drawn == []
+    assert {"_h1_distribution", "_chain_jacobian_certificate"} <= seen
 
 
 def _coupled_system(rng):

@@ -6,7 +6,7 @@ import pytest
 
 from flatcheck.expr import Expr, fraction_mod, state_var, tan_half_values
 from flatcheck.jetgeom import (FP, Distribution, MultiIndex, PointEchelon,
-                               SpaceMismatch, VectorField, ad_pow,
+                               SamplePoints, SpaceMismatch, VectorField, ad_pow,
                                bracket_failures, brackets_to_zero,
                                fraction_rank, lie_bracket, unit_field)
 from flatcheck.prolong import (build_prolonged, delta_filtration, g_filtration,
@@ -244,18 +244,17 @@ def test_structurally_skipped_pairs_bracket_to_zero(chained, driftless, clm,
 
 
 def test_membership_reuses_the_rank_sampling_echelons(chained, monkeypatch):
-    # generic_rank evaluates each generator once per sample point in F_p;
-    # membership probes evaluate only the probed field, against those same
-    # echelons
+    # a distribution evaluates each generator once per sample point of its
+    # SamplePoints; membership probes evaluate only the probed field,
+    # against those same echelons
     calls = []
-    orig = VectorField.eval_row
+    orig = SamplePoints.row
 
-    def counted(self, point, field=None):
-        if field is FP:
-            calls.append(self)
-        return orig(self, point, field)
+    def counted(self, v, point):
+        calls.append(v)
+        return orig(self, v, point)
 
-    monkeypatch.setattr(VectorField, "eval_row", counted)
+    monkeypatch.setattr(SamplePoints, "row", counted)
     ps = build_prolonged(chained, [1, 0])
     gens = [ps.g0] + ps.gi
     dist = Distribution(ps.space, gens, samples=4)
@@ -263,8 +262,10 @@ def test_membership_reuses_the_rank_sampling_echelons(chained, monkeypatch):
     cert = dist.certificate
     assert [e.point for e in cert.echelons] == cert.points
     assert max(e.rank for e in cert.echelons) == cert.sampled_rank
+    fresh_points = SamplePoints(dist.seed)
     for ech in cert.echelons:
-        fresh = PointEchelon.of([orig(g, ech.point, FP) for g in gens],
+        pt = fresh_points.point(ech.point.index)
+        fresh = PointEchelon.of([orig(fresh_points, g, pt) for g in gens],
                                 field=FP)
         assert ech.rows == fresh.rows
     top = [e for e in cert.echelons if e.rank == cert.sampled_rank]
