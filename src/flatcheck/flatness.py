@@ -11,12 +11,11 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
-from .expr import (UDERIV, DenominatorVanishes, Expr, VarRef, cos_var,
-                   mono_cmp, mono_from, pconst, primitive_scale, render_expr,
-                   render_poly, sin_var)
+from .expr import (UDERIV, Expr, VarRef, cos_var, mono_cmp, mono_from,
+                   pconst, primitive_scale, render_expr, render_poly, sin_var)
 from .jetgeom import (FP, SYMBOLIC_MAX_DIM, Distribution, JetSpace,
                       MultiIndex, PointEchelon, RankCertificate, SamplePoints,
-                      VectorField, _factor_polys, _same_space,
+                      VectorField, _factor_polys, _on_jet_origin, _same_space,
                       accumulate_factors, bracket_failures, generic_rank,
                       lie_bracket, unit_field)
 from .prolong import (ProlongedSystem, build_prolonged, build_space,
@@ -163,7 +162,10 @@ class Context:
     def home(self, j: Tuple[int, ...], k: int) -> Distribution:
         """The home Delta_k `Distribution` of the generator list of
         Delta_k^(j), in `delta_generators` order, built on X^(cap(j, k+1))
-        when the list is new."""
+        when the list is new: as an extension of the Delta_{k-1} home of
+        cap(j, k) when there is one.  That home's links are among these:
+        a link of depth s < k reads no drift term u_q^(t) with t >= k, so
+        capping j at k or at k + 1 gives the same links."""
         capped = _cap(j, k + 1)
         dist = self._delta.get((capped, k))
         if dist is None:
@@ -176,7 +178,8 @@ class Context:
                 dist = self._homes[ids] = Distribution(
                     space, [self._links[lid].on(space) for lid in ids],
                     seed=self.budgets.seed, samples=self.budgets.samples,
-                    base_point=self.base_point, points=self.points)
+                    base_point=self.base_point, points=self.points,
+                    prefix=self._delta.get((_cap(j, k), k - 1)))
             self._delta[capped, k] = dist
         return dist
 
@@ -647,12 +650,10 @@ def _chain(ps: ProlongedSystem, y: Expr, length: int) -> List[Expr]:
 
 
 def _gradient_field(ps: ProlongedSystem, phi: Expr) -> VectorField:
-    coeffs = {}
-    for c in ps.space.coords:
-        d = phi.diff(c)
-        if not d.is_zero():
-            coeffs[c] = d
-    return VectorField(ps.space, coeffs)
+    """d phi, differentiated only in the coordinates phi involves."""
+    touched = phi.free_base_vars()
+    return VectorField(ps.space, {c: phi.diff(c) for c in ps.space.coords
+                                  if c in touched})
 
 
 def verify_flat_output(ps: ProlongedSystem, candidates: Sequence[Expr]):
@@ -730,10 +731,8 @@ def _ansatz_monomials(ps: ProlongedSystem, degree: int):
 
 
 def _mono_expr(combo) -> Expr:
-    out = Expr.one()
-    for v in combo:
-        out = out * Expr.var(v)
-    return out
+    return Expr.make({mono_from([(v, 1) for v in combo]): Fraction(1)},
+                     pconst(1))
 
 
 def _nullspace_pools(ps: ProlongedSystem, kappas: Collection[int],
@@ -744,7 +743,9 @@ def _nullspace_pools(ps: ProlongedSystem, kappas: Collection[int],
     level's conditions once, in increasing level, and is read after level
     kap - 2 for each kap: the basis depends only on the row space."""
     monos = _ansatz_monomials(ps, degree)
-    mono_exprs = [_mono_expr(c) for c in monos]
+    # each monomial's partial derivatives, in the variables it involves
+    partials = [{v: me.diff(v) for v in me.free_base_vars()}
+                for me in map(_mono_expr, monos)]
     ech = PointEchelon()
     pools: Dict[int, List[Expr]] = {}
     level = 0
@@ -752,7 +753,7 @@ def _nullspace_pools(ps: ProlongedSystem, kappas: Collection[int],
         while level < kap - 1:
             for g in g_level_fields(ps, level):
                 if not g.is_zero():
-                    for row in _ansatz_conditions(g, mono_exprs):
+                    for row in _ansatz_conditions(g, partials):
                         ech.insert(row)
             level += 1
         pools[kap] = []
@@ -767,10 +768,18 @@ def _nullspace_pools(ps: ProlongedSystem, kappas: Collection[int],
     return pools
 
 
-def _ansatz_conditions(g: VectorField, mono_exprs: List[Expr]):
+def _ansatz_conditions(g: VectorField, partials: List[Dict[VarRef, Expr]]):
     """The linear conditions g(y) = 0 on the ansatz coefficients: one sparse
-    row per monomial of the images g(monomial), denominators cleared."""
-    images = [g.apply(me) for me in mono_exprs]
+    row per monomial of the images g(monomial), denominators cleared.  Each
+    image sums e * d/dv(monomial) in `g.coeffs` order, as `g.apply` does."""
+    images = []
+    for derivs in partials:
+        image = Expr.zero()
+        for v, e in g.coeffs.items():
+            d = derivs.get(v)
+            if d is not None:
+                image = image + e * d
+        images.append(image)
     dens = []
     for e in images:
         if e.den != pconst(1) and e.den not in dens:
@@ -817,16 +826,20 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
         top = [g for g in g_level_fields(ps, kap - 1) if not g.is_zero()]
         return any(not g.apply(y).is_zero() for g in top)
 
+    # the candidates' gradient rows, kept for this search only
+    rows_at: Dict[tuple, Optional[Dict[int, int]]] = {}
+
     def grown(ech: PointEchelon, rows: List[VectorField]):
         """A copy of ech with every row inserted, or None where one is
         dependent or has a pole at the point."""
         out = ech.copy()
-        try:
-            if all(out.insert(ps.points.row(r, out.point)) for r in rows):
-                return out
-        except DenominatorVanishes:
-            pass
-        return None
+        for r in rows:
+            key = (r.key(), out.point.index)
+            if key not in rows_at:
+                rows_at[key] = ps.points.evaluate(r, out.point)
+            if rows_at[key] is None or not out.insert(rows_at[key]):
+                return None
+        return out
 
     def backtrack(idx: int, echs: List[PointEchelon]):
         # echs: the sample points at which the chains chosen so far are
@@ -985,9 +998,7 @@ def _flat_report(ctx: Context, j: MultiIndex, res: CnsResult,
 
 def _flag_base_point(ctx: Context, ps: ProlongedSystem, res: CnsResult,
                      factors: List[str]):
-    base = dict(ctx.base_point)
-    for v in ps.space.coords:
-        base.setdefault(v, Fraction(0))
+    base = _on_jet_origin(ctx.base_point, ps.space)
     for s in factors:
         try:
             val = _eval_factor_string(ctx.sysdef, s, base)

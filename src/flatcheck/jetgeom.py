@@ -376,21 +376,27 @@ class SamplePoints:
             self._points.append(_SharedPoint(self.seed, len(self._points)))
         return self._points[i]
 
+    def evaluate(self, v: VectorField,
+                 point: _SharedPoint) -> Optional[Dict[int, int]]:
+        """The sparse row of v at `point` over F_p, or None at a pole of v;
+        not cached."""
+        cols, p, row = self._cols, FP.p, {}
+        try:
+            for c, e in v.coeffs.items():
+                a = e.eval_mod(point, p)
+                if a:
+                    row[cols.setdefault(c, len(cols))] = a
+        except DenominatorVanishes:
+            return None
+        return row
+
     def row(self, v: VectorField, point: _SharedPoint) -> Dict[int, int]:
-        """The sparse row of v at `point` over F_p; DenominatorVanishes at a
-        pole of v."""
+        """The sparse row of v at `point` over F_p, cached for the life of
+        these points; DenominatorVanishes at a pole of v."""
         key = (v.key(), point.index)
         row = self._rows.get(key, False)
         if row is False:
-            cols, p, row = self._cols, FP.p, {}
-            try:
-                for c, e in v.coeffs.items():
-                    a = e.eval_mod(point, p)
-                    if a:
-                        row[cols.setdefault(c, len(cols))] = a
-            except DenominatorVanishes:
-                row = None
-            self._rows[key] = row
+            row = self._rows[key] = self.evaluate(v, point)
         if row is None:
             raise DenominatorVanishes(point)
         return row
@@ -435,11 +441,12 @@ def fraction_rank(rows: List[Dict[int, Fraction]]) -> int:
 
 
 class PointEchelon:
-    """Incremental row echelon form over `field` (Q by default) of sparse
-    rows {column: nonzero entry}, pivots scaled to one: the rank machinery
-    of sampled rank and membership probes at one sample point (over F_p),
-    and of exact nullspaces (over Q).  Stored rows are never mutated, so
-    copies share them."""
+    """Incremental reduced row echelon form over `field` (Q by default) of
+    sparse rows {column: nonzero entry}, pivots scaled to one and cleared
+    from every other row: the rank machinery of sampled rank and membership
+    probes at one sample point (over F_p), and of exact nullspaces (over Q).
+    The stored rows depend only on the span, not on the insertion order.
+    A stored row is replaced, never mutated, so copies share them."""
 
     def __init__(self, point: Optional[dict] = None, field=QQ):
         self.point = point
@@ -478,8 +485,14 @@ class PointEchelon:
         pc = min(res)
         if res[pc] != 1:
             res = self.field.monic(res, pc)
-        # pivots are distinct, so the tuples compare by pivot alone
-        bisect.insort(self.rows, (pc, res))
+        # only a row with a smaller pivot can have an entry at pc
+        at = bisect.bisect(self.rows, (pc,))
+        for i, (qc, qrow) in enumerate(self.rows[:at]):
+            if pc in qrow:
+                qrow = dict(qrow)
+                self.field.axpy(qrow, qrow[pc], res)
+                self.rows[i] = (qc, qrow)
+        self.rows.insert(at, (pc, res))
         return True
 
     @property
@@ -490,22 +503,14 @@ class PointEchelon:
         """Nullspace basis read off the reduced row echelon form, one dense
         vector per free column in column order."""
         field = self.field
-        reduced: List[Tuple[int, Dict]] = []
-        for pc, row in reversed(self.rows):
-            row = dict(row)
-            for qc, qrow in reduced:
-                f = row.get(qc)
-                if f:
-                    field.axpy(row, f, qrow)
-            reduced.append((pc, row))
-        pivots = {pc for pc, _ in reduced}
+        pivots = {pc for pc, _ in self.rows}
         basis = []
         for fc in range(ncols):
             if fc in pivots:
                 continue
             vec = [field.zero] * ncols
             vec[fc] = field.one
-            for pc, row in reduced:
+            for pc, row in self.rows:
                 a = row.get(fc)
                 if a:
                     vec[pc] = field.neg(a)
@@ -948,14 +953,14 @@ class Distribution:
     rank) is computed on the first read of `rank`, `certificate` or
     `certified`.
 
-    A `prefix`, a distribution on the same space, points and base point
-    whose (nonempty) generators begin this one's, is extended rather than
-    rebuilt: its
-    echelons, at the sample points and at the base point, are copied and
-    the remaining generators' rows inserted.  That is the echelon a build
-    from scratch makes (same points, same rows, same order), unless a new
-    generator has a pole at one of the prefix's points; then the sampled
-    pass is built from scratch."""
+    A `prefix`, a distribution on the same points and base point whose
+    generators are all among this one's (else ValueError), is extended, not
+    rebuilt, even from a smaller prolongation (a Delta_{k-1} home): sample
+    rows number their columns per variable.  Its sample echelons, and its
+    base-point echelon if on this space, are copied and the rows of the
+    generators it lacks inserted.  The echelons are reduced, so they equal
+    a build from scratch on the same points, unless a new generator has a
+    pole at one of the prefix's points; then the sampled pass is rebuilt."""
 
     def __init__(self, space: JetSpace, generators: Sequence[VectorField],
                  seed: int = 0, samples: int = 5,
@@ -978,8 +983,14 @@ class Distribution:
         self._points = points
         self._prefix = prefix
         self._base_ech = _UNSET
-        echs = None if prefix is None else points.extend(
-            prefix._sampled, gens[len(prefix.generators):])
+        # the generators the prefix lacks: all of them without one
+        self._new, echs = gens, None
+        if prefix is not None:
+            old = {g.key() for g in prefix.generators}
+            self._new = [g for g in gens if g.key() not in old]
+            if not old.issubset(g.key() for g in gens):
+                raise ValueError("a prefix generator is not among these")
+            echs = points.extend(prefix._sampled, self._new)
         # whether the sample echelons extend the prefix's
         self._extended = echs is not None
         if echs is None:
@@ -995,17 +1006,23 @@ class Distribution:
                           if ech.rank == self.sampled_rank]
         self._involutive: Optional[tuple] = None
         self._coordinate_failures: Dict[VarRef, Optional[tuple]] = {}
+        # with every prefix echelon at top rank, a bracket the prefix's sweep
+        # passed reduced to zero at each of its points (it has no pole where
+        # its fields have none), so it does at their extensions: the sweeps
+        # may skip it
+        self._sweeps_new = self._extended and \
+            len(prefix._echelons) == len(prefix._sampled)
 
     def _base_echelon(self) -> Optional[PointEchelon]:
-        """The Q echelon of the generator rows at the base point, the
-        prefix's extended; None at a pole of a generator there (a pole of
-        the prefix's is one of this distribution's)."""
+        """The Q echelon of the generator rows at the base point, a prefix's
+        on this space extended; None at a pole of a generator there (a pole
+        of the prefix's is one of this distribution's)."""
         if self._base_ech is _UNSET:
-            ech, new = PointEchelon(), self.generators
-            if self._prefix is not None:
-                ech = self._prefix._base_echelon()
+            ech, new, prefix = PointEchelon(), self.generators, self._prefix
+            if prefix is not None and prefix.space == self.space:
+                ech = prefix._base_echelon()
                 ech = None if ech is None else ech.copy()
-                new = new[len(self._prefix.generators):]
+                new = self._new
             if ech is not None:
                 bp = _on_jet_origin(self._base_point, self.space)
                 try:
@@ -1093,21 +1110,15 @@ class Distribution:
         failing pair in generator order, bracketed by `bracket` as in
         `bracket_failures`; memoized.
 
-        When this distribution extends an involutive prefix each of whose
-        sample echelons has its top rank, only the pairs whose second member
-        is new are swept: every old pair's bracket reduced to zero at each
-        of the prefix's echelons (a bracket has no pole where its two fields
-        have none), so it does at their extensions, and the full sweep
-        would pass it."""
+        When `_sweeps_new` holds and the prefix is involutive, only the
+        pairs with a new member are swept, in the same order: the full sweep
+        would pass every other pair."""
         if self._involutive is None:
-            gens, prefix = self.generators, self._prefix
-            pairs = itertools.combinations(gens, 2)
-            if self._extended and prefix._involutive is not None and \
-                    prefix._involutive[0] and \
-                    len(prefix._echelons) == len(prefix._sampled):
-                old = len(prefix.generators)
-                pairs = ((gens[a], gens[b]) for a in range(len(gens))
-                         for b in range(max(a + 1, old), len(gens)))
+            pairs = itertools.combinations(self.generators, 2)
+            if self._sweeps_new and self._prefix._involutive == (True, None):
+                new = set(map(id, self._new))
+                pairs = ((a, b) for a, b in pairs
+                         if id(a) in new or id(b) in new)
             fail = next(bracket_failures(pairs, self.contains, bracket), None)
             self._involutive = (fail is None, fail)
         return self._involutive
@@ -1115,10 +1126,14 @@ class Distribution:
     def coordinate_failure(self, c: VarRef, bracket=None) -> Optional[tuple]:
         """The first (d/dc, g, [d/dc, g]) over the generators g, in order,
         that leaves the span, or None (always when the space lacks c: then
-        no generator involves c); memoized per c."""
+        no generator involves c); memoized per c.  Only the new generators
+        are checked when `_sweeps_new` holds and the prefix passed for c."""
         if c not in self._coordinate_failures:
-            pairs = (itertools.product([unit_field(self.space, c)],
-                                       self.generators)
+            gens = self.generators
+            if self._sweeps_new and \
+                    self._prefix._coordinate_failures.get(c, _UNSET) is None:
+                gens = self._new
+            pairs = (itertools.product([unit_field(self.space, c)], gens)
                      if c in self.space else ())
             self._coordinate_failures[c] = next(bracket_failures(
                 pairs, self.contains, bracket), None)

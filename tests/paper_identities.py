@@ -7,8 +7,9 @@ comparison with the unprolonged brackets) so that the tests can check the
 filtrations that `flatcheck` computes against them.  They also hold the
 reported sigma values of one step of the recursion, the membership and
 involutivity of a coordinate span, the sigma search's former survivor
-sweep, which re-checks every earlier k, and the former fraction-free
-elimination over Q, which the elimination over Z[x] must agree with.
+sweep, which re-checks every earlier k, the former fraction-free
+elimination over Q, which the elimination over Z[x] must agree with, and
+the former nullspace of a row echelon form by back-substitution.
 """
 
 import itertools
@@ -334,3 +335,45 @@ def q_symbolic_rank(fields: List[VectorField], space: JetSpace):
         if rank == nrows:
             break
     return rank, factors
+
+
+# ---------------------------------------------------------------------------
+# The nullspace by back-substitution
+
+def back_substituted_nullspace(rows, ncols: int, field) -> List[List]:
+    """The nullspace basis of sparse rows over `field`, one dense vector per
+    free column in column order: forward elimination to a row echelon form
+    whose rows are not cleared above their pivots, then back-substitution
+    from the last pivot up to the reduced form."""
+    echelon: List[Tuple[int, dict]] = []
+    for row in rows:
+        row = dict(row)
+        for pc, prow in echelon:
+            f = row.get(pc)
+            if f:
+                field.axpy(row, f, prow)
+        if row:
+            pc = min(row)
+            echelon.append((pc, field.monic(row, pc)))
+            echelon.sort(key=lambda pr: pr[0])
+    reduced: List[Tuple[int, dict]] = []
+    for pc, row in reversed(echelon):
+        row = dict(row)
+        for qc, qrow in reduced:
+            f = row.get(qc)
+            if f:
+                field.axpy(row, f, qrow)
+        reduced.append((pc, row))
+    pivots = {pc for pc, _ in reduced}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
+        for pc, row in reduced:
+            a = row.get(fc)
+            if a:
+                vec[pc] = field.neg(a)
+        basis.append(vec)
+    return basis

@@ -1,5 +1,6 @@
-"""Property test of the F_p echelon against the one over Q, on small rational
-matrices (hypothesis; skips when it is not installed).
+"""Property tests of the F_p echelon against the one over Q, on small rational
+matrices, and of the reduced form's independence of the insertion order
+(hypothesis; skips when it is not installed).
 
 The sizes keep every minor a p-unit, so the two must agree exactly: entries
 are a/b with |a| <= 5 and b <= 5, so 60 times a row is an integer row with
@@ -17,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from flatcheck.expr import fraction_mod  # noqa: E402
-from flatcheck.jetgeom import FP, PointEchelon, fraction_rank  # noqa: E402
+from flatcheck.jetgeom import FP, QQ, PointEchelon, fraction_rank  # noqa: E402
 
 ENTRY = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5))
 
@@ -56,3 +57,23 @@ def test_fp_echelon_rank_and_residual_match_q(data):
     assert (res_p is None) == (res_q is None)
     if res_q is not None:
         assert res_p == _mod(res_q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduced_rows_do_not_depend_on_the_insertion_order(data):
+    ncols = data.draw(st.integers(1, 6))
+    row = st.lists(ENTRY, min_size=ncols, max_size=ncols)
+    rows = [_sparse(r) for r in data.draw(st.lists(row, max_size=6))]
+    if rows and data.draw(st.booleans()):
+        # a repeated row and a multiple: dependent rows in the mix
+        rows.append({c: 2 * a for c, a in rows[0].items()})
+    order = data.draw(st.permutations(range(len(rows))))
+    for field, image in ((QQ, dict), (FP, _mod)):
+        first = PointEchelon.of([image(r) for r in rows], field=field)
+        again = PointEchelon.of([image(rows[i]) for i in order], field=field)
+        assert first.rows == again.rows
+        # each pivot column is zero in every other row
+        for pc, prow in first.rows:
+            assert prow[pc] == 1
+            assert all(pc not in qrow for qc, qrow in first.rows if qc != pc)

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 from flatcheck.expr import Expr, fraction_mod, state_var, tan_half_values
-from flatcheck.jetgeom import (FP, Distribution, MultiIndex, PointEchelon,
-                               SamplePoints, SpaceMismatch, VectorField, ad_pow,
+from flatcheck.jetgeom import (FP, QQ, Distribution, MultiIndex,
+                               PointEchelon, SamplePoints, SpaceMismatch,
+                               VectorField, ad_pow,
                                bracket_failures, brackets_to_zero,
                                fraction_rank, lie_bracket, unit_field)
 from flatcheck.prolong import (build_prolonged, delta_filtration, g_filtration,
                                g_level_fields)
 
 from conftest import oracle_bracket, random_field, random_system
-from paper_identities import (IterationBudgetExceeded, ad_top, cmin,
+from paper_identities import (IterationBudgetExceeded, ad_top,
+                              back_substituted_nullspace, cmin,
                               involutive_closure, is_vertical)
 from propsuites import suite_bracket_algebra
 
@@ -210,6 +212,27 @@ def test_point_echelon_rank_and_rref_nullspace():
             [_sparse(r) for r in rows]) == ncols - ech.rank
         for vec in basis:
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
+def test_nullspace_matches_back_substitution():
+    # the stored rows are reduced, so the nullspace is read off them; the
+    # former back-substitution from an unreduced echelon must agree
+    rng = random.Random(7)
+    for field in (QQ, FP):
+        for _ in range(40):
+            ncols = rng.randint(1, 7)
+            rows = []
+            for _ in range(rng.randint(0, 7)):
+                row = {c: rng.randint(-3, 3) for c in range(ncols)
+                       if rng.random() < 0.6}
+                if field is QQ:
+                    row = {c: Fraction(a, rng.randint(1, 3))
+                           for c, a in row.items()}
+                rows.append({c: a % FP.p if field is FP else a
+                             for c, a in row.items() if a})
+            ech = PointEchelon.of(rows, field=field)
+            assert ech.nullspace(ncols) == \
+                back_substituted_nullspace(rows, ncols, field), rows
 
 
 def test_bracket_failures_lazy_in_pair_order(chained):

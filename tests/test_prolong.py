@@ -261,6 +261,104 @@ def test_a_pole_at_a_prefix_point_falls_back_to_a_fresh_sample(chained,
     assert g1.is_involutive() == _full_sweep(fresh)
 
 
+# -- nested Delta homes -------------------------------------------------------
+
+FIXTURE_J_MIN = {"chained": (4, 0), "driftless": (2, 0), "clm": (0, 3),
+                 "threeinput": (1, 0, 0)}
+
+
+def _analysis_contexts(sysdef, seed, monkeypatch):
+    """The Contexts of one analyze and of one cns_check at the fixture's
+    j_min on a fresh Context, each with every home it built."""
+    from flatcheck import flatness
+    made = []
+    orig = flatness.Context.__init__
+
+    def recorded(self, *args, **kwargs):
+        orig(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(flatness.Context, "__init__", recorded)
+    flatness.analyze(sysdef, Budgets(seed=seed))
+    if sysdef.name in FIXTURE_J_MIN:
+        flatness.cns_check(sysdef, FIXTURE_J_MIN[sysdef.name], seed=seed)
+    monkeypatch.setattr(flatness.Context, "__init__", orig)
+    return made
+
+
+def test_extended_delta_homes_equal_a_build_from_scratch(
+        chained, driftless, clm, pendulum, threeinput, monkeypatch):
+    from flatcheck.flatness import _cap
+    nested = extended = homes = 0
+    for sysdef in (chained, driftless, clm, pendulum, threeinput):
+        for seed in (0, 11):
+            for ctx in _analysis_contexts(sysdef, seed, monkeypatch):
+                for (capped, k), dist in ctx._delta.items():
+                    homes += 1
+                    where = (sysdef.name, seed, capped, k)
+                    lower = ctx._delta.get((_cap(capped, k), k - 1))
+                    if k and lower is not None:
+                        nested += 1
+                        assert {g.key() for g in lower.generators} <= \
+                            {g.key() for g in dist.generators}, where
+                    extended += dist._extended
+                    fresh = Distribution(
+                        dist.space, dist.generators, seed=seed,
+                        samples=ctx.budgets.samples,
+                        base_point=ctx.base_point, points=ctx.points)
+                    got, want = dist.certified(False), fresh.certified(False)
+                    assert got.points == want.points, where
+                    assert [e.rows for e in got.echelons] == \
+                        [e.rows for e in want.echelons], where
+                    assert dist.sampled_rank == fresh.sampled_rank, where
+                    assert dist.is_involutive(ctx.bracket) == \
+                        fresh.is_involutive(ctx.bracket), where
+                    for c in list(dist._coordinate_failures) + \
+                            list(dist.space.coords[sysdef.n:]):
+                        assert dist.coordinate_failure(c, ctx.bracket) == \
+                            fresh.coordinate_failure(c, ctx.bracket), where
+    assert nested > 400 and extended > 400 and homes > 500
+
+
+def test_delta_sweeps_visit_only_the_new_generators(chained, monkeypatch):
+    from flatcheck import jetgeom
+    ctx = Context(chained, Budgets())
+    d0, d1 = ctx.home((0, 0), 0), ctx.home((0, 0), 1)
+    assert d1._prefix is d0 and d1._extended
+    assert ctx.delta_involutive((0, 0), 0)[0]
+    u1 = chained.input(1, 0)
+    assert d0.coordinate_failure(u1, ctx.bracket) is None
+    # by channel, then depth: the new links do not come last
+    gens = d1.generators
+    assert d1._new == [gens[1], gens[3]]
+    swept = []
+    orig = jetgeom.bracket_failures
+
+    def counted(pairs, member, bracket=None):
+        pairs = list(pairs)
+        swept.extend(pairs)
+        return orig(pairs, member, bracket)
+
+    monkeypatch.setattr(jetgeom, "bracket_failures", counted)
+    d1.is_involutive(ctx.bracket)
+    assert swept == [(a, b) for a, b in itertools.combinations(gens, 2)
+                     if a in d1._new or b in d1._new]
+    del swept[:]
+    d1.coordinate_failure(u1, ctx.bracket)
+    assert [b for _, b in swept] == [gens[1], gens[3]]
+
+
+def test_a_prefix_must_have_only_generators_of_the_distribution(chained):
+    ps = build_prolonged(chained, [0, 0])
+    g0, g1 = ps.gi
+    prefix = Distribution(ps.space, [g0, g1], points=ps.points)
+    with pytest.raises(ValueError):
+        Distribution(ps.space, [g1, ps.g0], points=ps.points, prefix=prefix)
+    dist = Distribution(ps.space, [g1, ps.g0, g0], points=ps.points,
+                        prefix=prefix)
+    assert dist._extended and dist._new == [ps.g0]
+
+
 # -- decomposition ------------------------------------------------------------
 
 def test_decomposition_fixture_levels(chained, clm):

@@ -1,8 +1,8 @@
 """Sampled rank and membership (over F_p) against sympy's exact rank of the
 coefficient matrix over the field of rational functions, on random small
-systems; the sparse rational echelon against sympy's rank and nullspace;
-and `lie_bracket` against sympy's derivatives (skips when sympy is not
-installed)."""
+systems; the sparse rational echelon against sympy's rank, nullspace and
+reduced row echelon form; and `lie_bracket` against sympy's derivatives
+(skips when sympy is not installed)."""
 
 import itertools
 import random
@@ -97,6 +97,26 @@ def test_point_echelon_rank_and_nullspace_match_sympy():
         assert [[sp.Rational(a) for a in vec] for vec in ech.nullspace(ncols)] \
             == [list(vec) for vec in matrix.nullspace()], rows
     assert zero_cols and single_rows
+
+
+def test_point_echelon_rows_are_sympys_rref():
+    # the stored rows, in pivot order, are the nonzero rows of the reduced
+    # row echelon form
+    rng = random.Random(3)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [{c: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for c in range(ncols) if rng.random() < 0.6}
+                for _ in range(nrows)]
+        rows = [{c: a for c, a in r.items() if a} for r in rows]
+        rref, pivots = sp.Matrix([[sp.Rational(r.get(c, 0))
+                                   for c in range(ncols)]
+                                  for r in rows]).rref()
+        ech = PointEchelon.of(rows)
+        assert [pc for pc, _ in ech.rows] == list(pivots), rows
+        assert [[sp.Rational(row.get(c, 0)) for c in range(ncols)]
+                for _, row in ech.rows] == \
+            [list(rref.row(i)) for i in range(len(pivots))], rows
 
 
 def _bracket_space() -> JetSpace:
