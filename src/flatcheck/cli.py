@@ -7,10 +7,10 @@ import os
 import sys
 import time
 
-from .expr import ExprError, render_expr
-from .flatness import (Budgets, CandidateCountMismatch, InternalError,
-                       NotLinearizable, analyze, verify_flat_output)
-from .jetgeom import GeometryError, MultiIndex, ad_pow
+from .expr import render_expr
+from .flatness import (Budgets, CandidateCountMismatch, NotLinearizable,
+                       analyze, verify_flat_output)
+from .jetgeom import MultiIndex, ad_pow
 from .prolong import build_prolonged
 from .report import AnalysisReport
 from .sysdsl import DslError, emit_report, parse_system
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     except DslError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
-    except (GeometryError, InternalError, ExprError) as err:
+    except Exception as err:    # a crash is never a verdict
         print("internal error: %s: %s" % (type(err).__name__, err),
               file=sys.stderr)
         return EXIT_INTERNAL

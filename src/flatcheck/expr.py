@@ -217,6 +217,13 @@ def pconst(q) -> Poly:
     return {MONO_ONE: q} if q else {}
 
 
+_PONE: Poly = pconst(1)     # every unit denominator; never mutated
+
+
+def pis_one(p: Poly) -> bool:
+    return p == _PONE
+
+
 def pvar(v: VarRef) -> Poly:
     return {((v, 1),): Fraction(1)}
 
@@ -486,7 +493,7 @@ def _uni_primitive(u: Dict[int, Poly]) -> Tuple[Poly, Dict[int, Poly]]:
     cont: Poly = {}
     for coeff in u.values():
         cont = poly_gcd(cont, coeff)
-        if cont == pconst(1):
+        if pis_one(cont):
             break
     prim = {d: pdivexact(c, cont) for d, c in u.items()}
     scale = primitive_scale(q for c in prim.values() for q in c.values())
@@ -588,7 +595,7 @@ class Expr:
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
-            return Expr({}, pconst(1), _raw=True)
+            return Expr({}, _PONE, _raw=True)
         # clear sin atoms out of the denominator via conjugates
         while True:
             sin_in_den = sorted({v for m in den for v, _ in m if v.trig == SIN},
@@ -602,14 +609,14 @@ class Expr:
             num = pmul(num, conj)
             den = pmul(den, conj)
         # cancel common factors (gcd over the sin-free components)
-        if den != pconst(1):
+        if not pis_one(den):
             comps = list(_split_sin_components(num).values())
             g: Poly = {}
             for p in comps + [den]:
                 g = poly_gcd(g, p)
-                if g == pconst(1):
+                if pis_one(g):
                     break
-            if g and g != pconst(1):
+            if g and not pis_one(g):
                 num_c = _split_sin_components(num)
                 num = _join_sin_components(
                     {s: pdivexact(p, g) for s, p in num_c.items()})
@@ -632,11 +639,11 @@ class Expr:
 
     @staticmethod
     def rational(q) -> "Expr":
-        return Expr.make(pconst(Fraction(q)), pconst(1))
+        return Expr.make(pconst(Fraction(q)), _PONE)
 
     @staticmethod
     def var(v: VarRef) -> "Expr":
-        return Expr.make(pvar(v), pconst(1))
+        return Expr.make(pvar(v), _PONE)
 
     # -- predicates
 
@@ -644,7 +651,7 @@ class Expr:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == pconst(1) and self.den == pconst(1)
+        return pis_one(self.num) and pis_one(self.den)
 
     def free_vars(self) -> set:
         return pvars(self.num) | pvars(self.den)
@@ -657,8 +664,8 @@ class Expr:
 
     def __add__(self, other: "Expr") -> "Expr":
         if self.den == other.den:
-            if self.den == pconst(1):
-                return Expr(padd(self.num, other.num), pconst(1), _raw=True)
+            if pis_one(self.den):
+                return Expr(padd(self.num, other.num), _PONE, _raw=True)
             return Expr.make(padd(self.num, other.num), self.den)
         return Expr.make(
             padd(pmul(self.num, other.den), pmul(other.num, self.den)),
@@ -671,8 +678,8 @@ class Expr:
         return Expr(pneg(self.num), self.den, _raw=True)
 
     def __mul__(self, other: "Expr") -> "Expr":
-        if self.den == pconst(1) and other.den == pconst(1):
-            return Expr(pmul(self.num, other.num), pconst(1), _raw=True)
+        if pis_one(self.den) and pis_one(other.den):
+            return Expr(pmul(self.num, other.num), _PONE, _raw=True)
         return Expr.make(pmul(self.num, other.num), pmul(self.den, other.den))
 
     def __truediv__(self, other: "Expr") -> "Expr":
@@ -692,8 +699,8 @@ class Expr:
         if v.is_trig():
             raise ValueError("cannot differentiate with respect to a trig atom")
         dn = pdiff(self.num, v)
-        if self.den == pconst(1):
-            return Expr(dn, pconst(1), _raw=True)
+        if pis_one(self.den):
+            return Expr(dn, _PONE, _raw=True)
         dd = pdiff(self.den, v)
         return Expr.make(psub(pmul(dn, self.den), pmul(self.num, dd)),
                          pmul(self.den, self.den))
@@ -727,7 +734,7 @@ class Expr:
 
 
 def _plain_var_of(e: Expr) -> Optional[VarRef]:
-    if e.den != pconst(1) or len(e.num) != 1:
+    if not pis_one(e.den) or len(e.num) != 1:
         return None
     (m, c), = e.num.items()
     if c != 1 or len(m) != 1 or m[0][1] != 1 or m[0][0].is_trig():
@@ -735,7 +742,7 @@ def _plain_var_of(e: Expr) -> Optional[VarRef]:
     return m[0][0]
 
 
-_ZERO = Expr({}, {MONO_ONE: Fraction(1)}, _raw=True)
+_ZERO = Expr({}, _PONE, _raw=True)
 _ONE = Expr({MONO_ONE: Fraction(1)}, {MONO_ONE: Fraction(1)}, _raw=True)
 
 
@@ -774,7 +781,7 @@ def render_poly(p: Poly) -> str:
 
 def render_expr(e: Expr) -> str:
     num = render_poly(e.num)
-    if e.den == pconst(1):
+    if pis_one(e.den):
         return num
     den = render_poly(e.den)
     ns = num if len(e.num) <= 1 else "(%s)" % num

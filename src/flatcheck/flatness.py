@@ -8,12 +8,13 @@ import copy
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from .expr import (UDERIV, Expr, VarRef, cos_var, mono_cmp, mono_from,
-                   pconst, primitive_scale, render_expr, render_poly, sin_var)
-from .jetgeom import (FP, SYMBOLIC_MAX_DIM, Distribution, JetSpace,
+                   pconst, pis_one, primitive_scale, render_expr, render_poly,
+                   sin_var)
+from .jetgeom import (FP, QQ, SYMBOLIC_MAX_DIM, Distribution, JetSpace,
                       MultiIndex, PointEchelon, RankCertificate, SamplePoints,
                       VectorField, _factor_polys, _on_jet_origin, _same_space,
                       accumulate_factors, bracket_failures, generic_rank,
@@ -642,11 +643,12 @@ def enumerate_initializations(ctx: Context) -> List[Initialization]:
 
 def _chain(ps: ProlongedSystem, y: Expr, length: int) -> List[Expr]:
     """y and its time derivatives along the prolonged drift; valid while the
-    annihilation conditions hold (the new-input terms vanish)."""
-    out = [y]
-    for _ in range(length - 1):
+    annihilation conditions hold (the new-input terms vanish).  The prefixes
+    are kept on ps, so a search and the check of its outputs share them."""
+    out = ps.chains.setdefault(y, [y])
+    while len(out) < length:
         out.append(ps.g0.apply(out[-1]))
-    return out
+    return out[:length]
 
 
 def _gradient_field(ps: ProlongedSystem, phi: Expr) -> VectorField:
@@ -706,7 +708,7 @@ def _chain_jacobian_certificate(ps: ProlongedSystem, candidates, assign):
     for row in rows:
         for e in row.coeffs.values():
             accumulate_factors(polys, _factor_polys(dict(e.num)))
-            if e.den != pconst(1):
+            if not pis_one(e.den):
                 accumulate_factors(polys, _factor_polys(dict(e.den)))
     factors: List[str] = []
     for f in polys:
@@ -718,8 +720,8 @@ def _chain_jacobian_certificate(ps: ProlongedSystem, candidates, assign):
                 "factors": factors}
 
 
-def _ansatz_monomials(ps: ProlongedSystem, degree: int):
-    letters: List[VarRef] = list(ps.space.coords)
+def _ansatz_monomials(ps: ProlongedSystem, degree: int, dropped=()):
+    letters: List[VarRef] = [c for c in ps.space.coords if c not in dropped]
     for b in ps.space.trig_bases:
         letters.append(sin_var(b))
         letters.append(cos_var(b))
@@ -735,64 +737,92 @@ def _mono_expr(combo) -> Expr:
                      pconst(1))
 
 
+def _killed_letter(g: VectorField, trig_bases) -> Optional[VarRef]:
+    """c when g = e d/dc with c not a trig base: g(y) = 0 says dy/dc = 0."""
+    c = next(iter(g.coeffs)) if len(g.coeffs) == 1 else None
+    return None if c in trig_bases else c
+
+
+class _Lazy:
+    """A re-iterable view of an iterator that draws each item once, on first
+    read, so that loops at two depths of a search can share it."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+
+    def __iter__(self):
+        self._items, view = itertools.tee(self._items)
+        return view
+
+
 def _nullspace_pools(ps: ProlongedSystem, kappas: Collection[int],
-                     degree: int) -> Dict[int, List[Expr]]:
+                     degree: int) -> Dict[int, _Lazy]:
     """For each kap in `kappas`, the degree-bounded solutions of
     <G_k, dy> = 0 for k <= kap - 2, as normalized basis vectors of the
-    exact nullspace (constants excluded).  One echelon over Q takes each G
-    level's conditions once, in increasing level, and is read after level
-    kap - 2 for each kap: the basis depends only on the row space."""
-    monos = _ansatz_monomials(ps, degree)
-    # each monomial's partial derivatives, in the variables it involves
-    partials = [{v: me.diff(v) for v in me.free_base_vars()}
-                for me in map(_mono_expr, monos)]
+    exact nullspace (constants excluded), each built on first read.  One
+    echelon over Q takes each G level's conditions once, in increasing
+    level, and is read after level kap - 2 for each kap: the basis depends
+    only on the row space.  A letter that `_killed_letter` finds is left
+    out of the monomials if killed at a level every pool reads, else gives
+    unit rows at the monomials involving it; wherever monomials have
+    independent partials (degree 2, or no trig bases) this keeps the row
+    space."""
+    kaps = sorted(set(kappas))
+    trig = ps.space.trig_bases
+    dropped = {_killed_letter(g, trig) for r in range(kaps[0] - 1)
+               for g in g_level_fields(ps, r)} - {None}
+    monos = _ansatz_monomials(ps, degree, dropped)
+    cols_of: Dict[VarRef, List[int]] = {}   # letter base -> its monomials
+    for col, combo in enumerate(monos):
+        for v in dict.fromkeys(w.base if w.is_trig() else w for w in combo):
+            cols_of.setdefault(v, []).append(col)
+
+    @lru_cache(maxsize=None)
+    def partial(col: int, v: VarRef) -> Expr:
+        return _mono_expr(monos[col]).diff(v)
+
     ech = PointEchelon()
-    pools: Dict[int, List[Expr]] = {}
+    pools: Dict[int, _Lazy] = {}
     level = 0
-    for kap in sorted(set(kappas)):
+    for kap in kaps:
         while level < kap - 1:
             for g in g_level_fields(ps, level):
-                if not g.is_zero():
-                    for row in _ansatz_conditions(g, partials):
-                        ech.insert(row)
+                c = _killed_letter(g, trig)
+                for row in ([{col: QQ.one} for col in cols_of.get(c, ())]
+                            if c is not None else
+                            _ansatz_conditions(g, cols_of, partial)):
+                    ech.insert(row)
             level += 1
-        pools[kap] = []
-        for vec in ech.nullspace(len(monos)):
-            poly = {}
-            for col, c in enumerate(vec):
-                if c:
-                    key = mono_from([(v, 1) for v in monos[col]])
-                    poly[key] = poly.get(key, Fraction(0)) + c
-            if poly:
-                pools[kap].append(_normalize_output(Expr.make(poly, pconst(1))))
+        ys = (Expr.make({mono_from([(v, 1) for v in monos[col]]): c
+                         for col, c in enumerate(vec) if c}, pconst(1))
+              for vec in ech.nullspace(len(monos)))
+        # skipping zero functions, such as x*(sin(b)^2 + cos(b)^2 - 1)
+        pools[kap] = _Lazy(_normalize_output(y) for y in ys if not y.is_zero())
     return pools
 
 
-def _ansatz_conditions(g: VectorField, partials: List[Dict[VarRef, Expr]]):
+def _ansatz_conditions(g: VectorField, cols_of: Dict[VarRef, List[int]],
+                       partial):
     """The linear conditions g(y) = 0 on the ansatz coefficients: one sparse
-    row per monomial of the images g(monomial), denominators cleared.  Each
-    image sums e * d/dv(monomial) in `g.coeffs` order, as `g.apply` does."""
-    images = []
-    for derivs in partials:
-        image = Expr.zero()
-        for v, e in g.coeffs.items():
-            d = derivs.get(v)
-            if d is not None:
-                image = image + e * d
-        images.append(image)
+    row per monomial of the images g(monomial), denominators cleared.  Only
+    the monomials involving a coordinate of g have nonzero images."""
+    images: Dict[int, Expr] = {}
+    for v, e in g.coeffs.items():
+        for col in cols_of.get(v, ()):
+            images[col] = images.get(col, Expr.zero()) + e * partial(col, v)
     dens = []
-    for e in images:
-        if e.den != pconst(1) and e.den not in dens:
+    for e in images.values():
+        if not pis_one(e.den) and e.den not in dens:
             dens.append(e.den)
     scale = Expr.one()
     for d in dens:
         scale = scale * Expr.make(dict(d), pconst(1))
     rows: Dict[tuple, Dict[int, Fraction]] = {}
-    for col, e in enumerate(images):
+    for col, e in images.items():
         if e.is_zero():
             continue
         se = e * scale
-        assert se.den == pconst(1)
+        assert pis_one(se.den)
         for mono, coeff in se.num.items():
             rows.setdefault(mono, {})[col] = coeff
     return rows.values()
@@ -829,17 +859,12 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
     # the candidates' gradient rows, kept for this search only
     rows_at: Dict[tuple, Optional[Dict[int, int]]] = {}
 
-    def grown(ech: PointEchelon, rows: List[VectorField]):
-        """A copy of ech with every row inserted, or None where one is
-        dependent or has a pole at the point."""
-        out = ech.copy()
-        for r in rows:
-            key = (r.key(), out.point.index)
-            if key not in rows_at:
-                rows_at[key] = ps.points.evaluate(r, out.point)
-            if rows_at[key] is None or not out.insert(rows_at[key]):
-                return None
-        return out
+    def inserted(ech: PointEchelon, r: VectorField) -> bool:
+        # False where r's row is dependent or has a pole at the point
+        key = (r.key(), ech.point.index)
+        if key not in rows_at:
+            rows_at[key] = ps.points.evaluate(r, ech.point)
+        return rows_at[key] is not None and ech.insert(rows_at[key])
 
     def backtrack(idx: int, echs: List[PointEchelon]):
         # echs: the sample points at which the chains chosen so far are
@@ -850,9 +875,13 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
         for cand in pools[kap]:
             if not nondegenerate(cand, kap):
                 continue
-            rows = [_gradient_field(ps, phi) for phi in _chain(ps, cand, kap)]
-            alive = [e for e in (grown(ech, rows) for ech in echs)
-                     if e is not None]
+            # the chain grows while some point keeps it independent
+            alive = [ech.copy() for ech in echs]
+            for i in range(kap):
+                r = _gradient_field(ps, _chain(ps, cand, i + 1)[i])
+                alive = [ech for ech in alive if inserted(ech, r)]
+                if not alive:
+                    break
             rest = backtrack(idx + 1, alive) if alive else None
             if rest is not None:
                 return [cand] + rest

@@ -14,8 +14,8 @@ from math import gcd
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from .expr import (PARAM, SIN, Expr, Poly, VarRef, cos_var, mono_div, pconst,
-                   pdivexact, pleading, pmonomial_content, pmul,
+from .expr import (PARAM, SIN, Expr, Poly, VarRef, cos_var, mono_div,
+                   pdivexact, pis_one, pleading, pmonomial_content, pmul,
                    primitive_scale, pscale, pvar, param_var, render_expr,
                    render_poly, sin_var, DenominatorVanishes, MONO_ONE)
 
@@ -770,9 +770,6 @@ def _zdiv(a: ZPoly, b: ZPoly, guard: int) -> ZPoly:
     return out
 
 
-_QONE: Poly = pconst(1)
-
-
 def _bareiss_step(row: List[ZPoly], col: int, prow: List[ZPoly],
                   prev: Optional[ZPoly], guard: int):
     """One fraction-free step on `row`, in place: row[c] becomes
@@ -800,7 +797,7 @@ def _integer_row(f: VectorField, space: JetSpace):
     col = space.col
     entries = sorted(((col(v), e) for v, e in f.coeffs.items()),
                      key=lambda p: p[0])
-    dens = [(c, e.den) for c, e in entries if e.den != _QONE]
+    dens = [(c, e.den) for c, e in entries if not pis_one(e.den)]
     scaled = []
     for c, e in entries:
         p = e.num

@@ -49,6 +49,8 @@ class ProlongedSystem:
         self._ad_u0: Dict[int, List[VectorField]] = {}
         self._g_levels: List[List[VectorField]] = []
         self._dist_cache: Dict[Tuple[str, int], Distribution] = {}
+        # y -> y and its first derivatives along g0 (flatness._chain)
+        self.chains: Dict[Expr, List[Expr]] = {}
 
     # -- memoized adjoint chains
 

@@ -8,25 +8,30 @@ filtrations that `flatcheck` computes against them.  They also hold the
 reported sigma values of one step of the recursion, the membership and
 involutivity of a coordinate span, the sigma search's former survivor
 sweep, which re-checks every earlier k, the former fraction-free
-elimination over Q, which the elimination over Z[x] must agree with, and
-the former nullspace of a row echelon form by back-substitution.
+elimination over Q, which the elimination over Z[x] must agree with,
+the former nullspace of a row echelon form by back-substitution, and the
+former eager flat-output ansatz and search.
 """
 
 import itertools
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from flatcheck.expr import (UDERIV, Expr, Poly, VarRef, pconst, pdivexact,
-                            pmul, psub)
-from flatcheck.flatness import (Budgets, Context, Initialization, SigmaRun,
-                                _box_limit, _embed)
-from flatcheck.jetgeom import (CoordinateSpan, Distribution, JetSpace,
-                               MultiIndex, SpaceMismatch, VectorField, ad_pow,
-                               _detrig_row, _factor_polys, accumulate_factors,
+from flatcheck.expr import (UDERIV, Expr, Poly, VarRef, mono_from, pconst,
+                            pdivexact, pmul, psub)
+from flatcheck.flatness import (Budgets, Context, Initialization,
+                                NotLinearizable, SigmaRun, _ansatz_monomials,
+                                _box_limit, _embed, _gradient_field,
+                                _mono_expr, _normalize_output,
+                                brunovsky_indices)
+from flatcheck.jetgeom import (FP, CoordinateSpan, Distribution, JetSpace,
+                               MultiIndex, PointEchelon, SpaceMismatch,
+                               VectorField, ad_pow, _detrig_row,
+                               _factor_polys, accumulate_factors,
                                bracket_failures, unit_field)
 from flatcheck.prolong import (ProlongedSystem, build_prolonged,
-                               delta_filtration, g_filtration, g_stabilization,
-                               gamma_filtration)
+                               delta_filtration, g_filtration, g_level_fields,
+                               g_stabilization, gamma_filtration)
 from flatcheck.report import SigmaStep
 from flatcheck.sysdsl import SystemDef
 
@@ -377,3 +382,108 @@ def back_substituted_nullspace(rows, ncols: int, field) -> List[List]:
                 vec[pc] = field.neg(a)
         basis.append(vec)
     return basis
+
+
+def eager_nullspace_pools(ps: ProlongedSystem, kappas, degree: int):
+    """The flat-output ansatz's former pools: every coordinate's monomials,
+    each monomial differentiated in all its variables, each G level's
+    conditions from the images of all monomials, and every pool's outputs
+    built at once.  The search's pools must equal these wherever distinct
+    monomials have independent partials (degree 2, or no trig bases)."""
+    monos = _ansatz_monomials(ps, degree)
+    partials = [{v: me.diff(v) for v in me.free_base_vars()}
+                for me in map(_mono_expr, monos)]
+    ech = PointEchelon()
+    pools = {}
+    level = 0
+    for kap in sorted(set(kappas)):
+        while level < kap - 1:
+            for g in g_level_fields(ps, level):
+                if not g.is_zero():
+                    for row in _eager_conditions(g, partials):
+                        ech.insert(row)
+            level += 1
+        pools[kap] = []
+        for vec in ech.nullspace(len(monos)):
+            poly = {}
+            for col, c in enumerate(vec):
+                if c:
+                    key = mono_from([(v, 1) for v in monos[col]])
+                    poly[key] = poly.get(key, Fraction(0)) + c
+            if poly:
+                pools[kap].append(
+                    _normalize_output(Expr.make(poly, pconst(1))))
+    return pools
+
+
+def _eager_conditions(g: VectorField, partials):
+    images = []
+    for derivs in partials:
+        image = Expr.zero()
+        for v, e in g.coeffs.items():
+            d = derivs.get(v)
+            if d is not None:
+                image = image + e * d
+        images.append(image)
+    dens = []
+    for e in images:
+        if e.den != pconst(1) and e.den not in dens:
+            dens.append(e.den)
+    scale = Expr.one()
+    for d in dens:
+        scale = scale * Expr.make(dict(d), pconst(1))
+    rows = {}
+    for col, e in enumerate(images):
+        if e.is_zero():
+            continue
+        se = e * scale
+        assert se.den == pconst(1)
+        for mono, coeff in se.num.items():
+            rows.setdefault(mono, {})[col] = coeff
+    return rows.values()
+
+
+def eager_search_flat_outputs(ps: ProlongedSystem, degree: int = 2):
+    """The former flat-output search: eager pools, and each candidate's whole
+    chain derived (with no cache) and its rows inserted at once."""
+    try:
+        kappa = brunovsky_indices(ps)
+    except NotLinearizable:
+        return None
+    pools = eager_nullspace_pools(ps, kappa, degree)
+
+    def chain(y, length):
+        out = [y]
+        for _ in range(length - 1):
+            out.append(ps.g0.apply(out[-1]))
+        return out
+
+    def nondegenerate(y, kap):
+        top = [g for g in g_level_fields(ps, kap - 1) if not g.is_zero()]
+        return any(not g.apply(y).is_zero() for g in top)
+
+    def grown(ech, rows):
+        out = ech.copy()
+        for r in rows:
+            row = ps.points.evaluate(r, out.point)
+            if row is None or not out.insert(row):
+                return None
+        return out
+
+    def backtrack(idx, echs):
+        if idx == len(kappa):
+            return []
+        kap = kappa[idx]
+        for cand in pools[kap]:
+            if not nondegenerate(cand, kap):
+                continue
+            rows = [_gradient_field(ps, phi) for phi in chain(cand, kap)]
+            alive = [e for e in (grown(ech, rows) for ech in echs)
+                     if e is not None]
+            rest = backtrack(idx + 1, alive) if alive else None
+            if rest is not None:
+                return [cand] + rest
+        return None
+
+    points = g_filtration(ps, 0).certificate.points
+    return backtrack(0, [PointEchelon(pt, FP) for pt in points])

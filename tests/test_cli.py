@@ -191,3 +191,19 @@ def test_budget_flags_are_checked_for_every_subcommand(capsys):
             code = cli.main([command, chained, *rest, *flags])
             assert code == cli.EXIT_USAGE, (command, flags)
             assert "must be positive" in capsys.readouterr().err
+
+
+def test_any_library_exception_exits_internal(monkeypatch, capsys):
+    # a crash that no library error class names (the degree-3 ansatz once
+    # raised ValueError from min() of an empty sequence) is no verdict either
+    from flatcheck import cli
+
+    def broken(sysdef, budgets):
+        raise ValueError("min() arg is an empty sequence")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    code = cli.main(["analyze", "--ansatz-degree", "3",
+                     str(FIXTURES / "driftless.flt")])
+    assert code == cli.EXIT_INTERNAL == 70
+    assert capsys.readouterr().err == \
+        "internal error: ValueError: min() arg is an empty sequence\n"
