@@ -94,6 +94,11 @@ def param_var(name: str) -> VarRef:
     return VarRef(PARAM, name=name, label=name)
 
 
+# the prefix of the internal tan-half parameters' names, which no declared
+# name may begin with
+TANHALF_PREFIX = "tanhalf_"
+
+
 def sin_var(base: VarRef) -> VarRef:
     if base.trig != PLAIN:
         raise UnsupportedTrigComposition("trig atom over a trig atom")
@@ -114,6 +119,30 @@ def tan_half_values(base: VarRef, t: Fraction) -> Dict[VarRef, Fraction]:
     itself gets t, which is only meaningful through its atoms."""
     return {base: t, sin_var(base): 2 * t / (1 + t * t),
             cos_var(base): (1 - t * t) / (1 + t * t)}
+
+
+class JetOrigin(dict):
+    """The jet origin of a rational base point: a listed variable reads its
+    value, sin/cos of a trig base come from the base's value as a tan-half
+    parameter (`tan_half_values`), any other state or input derivative
+    reads 0, and an unlisted parameter, a tan-half one too, stays missing
+    (KeyError)."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: VarRef) -> Fraction:
+        if v.is_trig():
+            val = tan_half_values(v.base, self[v.base])[v]
+        elif v.kind == PARAM:
+            raise KeyError(v)
+        else:
+            val = Fraction(0)
+        self[v] = val
+        return val
+
+    def value(self, e: "Expr") -> Fraction:
+        """e's value here; DenominatorVanishes at a pole of e."""
+        return e.eval_at(self)
 
 
 # ---------------------------------------------------------------------------

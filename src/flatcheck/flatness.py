@@ -9,21 +9,22 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Collection, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
-from .expr import (UDERIV, Expr, VarRef, cos_var, mono_cmp, mono_from,
-                   pconst, pis_one, primitive_scale, render_expr, render_poly,
-                   sin_var)
+from .expr import (UDERIV, Expr, Poly, VarRef, cos_var, mono_cmp, mono_from,
+                   pconst, peval, pis_one, primitive_scale, render_expr,
+                   render_poly, sin_var)
 from .jetgeom import (FP, QQ, SYMBOLIC_MAX_DIM, Distribution, JetSpace,
                       MultiIndex, PointEchelon, RankCertificate, SamplePoints,
-                      VectorField, _factor_polys, _on_jet_origin, _same_space,
+                      VectorField, _factor_polys, _same_space,
                       accumulate_factors, bracket_failures, generic_rank,
                       lie_bracket, unit_field)
 from .prolong import (ProlongedSystem, build_prolonged, build_space,
                       g_filtration, g_level_fields, g_stabilization,
                       gamma_coordinates)
 from .report import INF, AnalysisReport, InitTrace, SigmaStep
-from .sysdsl import DslError, SystemDef, _Parser, tokenize
+from .sysdsl import SystemDef
 
 
 class NotLinearizable(Exception):
@@ -243,21 +244,24 @@ def static_linearizable(sysdef: SystemDef, seed: int = 0, samples: int = 5,
     if ctx is None:
         ctx = Context(sysdef, Budgets(seed=seed, samples=samples))
     ps0 = ctx.ps((0,) * sysdef.m)
-    ranks, kstar = g_stabilization(ps0, k_cap=sysdef.n)
-    all_inv = True
-    first_bad = None
-    witness = None
-    for k in range(0, kstar + 1):
-        ok, wit = g_filtration(ps0, k).is_involutive(ctx.bracket)
-        if not ok:
-            all_inv = False
-            first_bad, witness = k, wit
-            break
+    ranks, kstar = g_stabilization(ps0)
+    first_bad, witness = _first_noninvolutive_g(ps0, kstar, ctx.bracket)
+    all_inv = first_bad is None
     full = ranks[-1] == sysdef.n + sysdef.m
     lin = all_inv and full
     kappa = _kappa_from_ranks(sysdef.m, ranks) if lin else None
     return StaticResult(lin, kappa, kstar, ranks, all_inv, first_bad,
                         witness, ranks[-1])
+
+
+def _first_noninvolutive_g(ps: ProlongedSystem, kstar: int, bracket=None):
+    """(k, witness) of the first G_k, k <= kstar, that is not involutive,
+    or (None, None)."""
+    for k in range(0, kstar + 1):
+        ok, wit = g_filtration(ps, k).is_involutive(bracket)
+        if not ok:
+            return k, wit
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +274,9 @@ def brunovsky_indices(ps: ProlongedSystem) -> Tuple[int, ...]:
     ranks, kstar = g_stabilization(ps)
     if ranks[-1] != ps.space.dim:
         raise NotLinearizable("G filtration stabilizes below full dimension")
-    for k in range(0, kstar + 1):
-        ok, _ = g_filtration(ps, k).is_involutive()
-        if not ok:
-            raise NotLinearizable("G_%d is not involutive" % k)
+    bad, _ = _first_noninvolutive_g(ps, kstar)
+    if bad is not None:
+        raise NotLinearizable("G_%d is not involutive" % bad)
     kappa = _kappa_from_ranks(ps.sysdef.m, ranks)
     if sum(kappa) != ps.space.dim:
         raise InternalError("Brunovsky indices do not sum to the dimension")
@@ -359,13 +362,18 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
         violation = _certify_conditions(ctx, tuple(j), kstar)
     certs = [("Delta_%d" % i, c) for i, c in enumerate(d_certs)] + \
         [("G_%d" % i, c) for i, c in enumerate(g_certs)]
-    factors: List[str] = []
-    for _, cert in certs:
-        for s in cert.factor_strings():
-            if s not in factors:
-                factors.append(s)
     return CnsResult(violation is None, violation, kstar, d_ranks,
-                     gam_ranks, g_ranks, cross_ok, factors, certs)
+                     gam_ranks, g_ranks, cross_ok,
+                     list(_locus(f for _, c in certs for f in c.factors)),
+                     certs)
+
+
+def _locus(polys: Iterable[Poly]) -> Dict[str, Poly]:
+    """Singular factors by rendered string, in order of first appearance."""
+    out: Dict[str, Poly] = {}
+    for f in polys:
+        out.setdefault(render_poly(f), f)
+    return out
 
 
 def _certify_conditions(ctx: Context, j: Tuple[int, ...],
@@ -710,14 +718,9 @@ def _chain_jacobian_certificate(ps: ProlongedSystem, candidates, assign):
             accumulate_factors(polys, _factor_polys(dict(e.num)))
             if not pis_one(e.den):
                 accumulate_factors(polys, _factor_polys(dict(e.den)))
-    factors: List[str] = []
-    for f in polys:
-        s = render_poly(f)
-        if s not in factors:
-            factors.append(s)
     ok = cert.rank == ps.space.dim
     return ok, {"jacobian_rank": cert.rank, "dimension": ps.space.dim,
-                "factors": factors}
+                "factors": _locus(polys)}
 
 
 def _ansatz_monomials(ps: ProlongedSystem, degree: int, dropped=()):
@@ -1005,35 +1008,35 @@ def _flat_report(ctx: Context, j: MultiIndex, res: CnsResult,
     _audit_bounds(sysdef, j, k_star, kappa, res)
     outputs = search_flat_outputs(ps, ctx.budgets.ansatz_degree)
     out_strings = None
-    factors = list(res.factors)
+    polys = [f for _, c in res.certificates for f in c.factors]
     if outputs is not None:
         ok, cert = verify_flat_output(ps, outputs)
         if ok:
             out_strings = [render_expr(y) for y in outputs]
-            for s in cert.get("factors", []):
-                if s not in factors:
-                    factors.append(s)
-    _flag_base_point(ctx, ps, res, factors)
+            polys.extend(cert["factors"].values())
+    locus = _locus(polys)
+    _flag_base_point(ctx, res, locus)
     _, perm = j.sorted_permutation()
     if note:
         ctx.warnings.append(note)
     return AnalysisReport(
         verdict="p2_flat", j_min=tuple(j), input_permutation=perm,
         k_star=k_star, kappa=kappa, flat_outputs=out_strings,
-        sigma_trace=steps, singular_locus=factors, seed=ctx.budgets.seed,
+        sigma_trace=steps, singular_locus=list(locus), seed=ctx.budgets.seed,
         witness=None, initializations=[r.trace() for r in runs],
         system=sysdef.name, warnings=ctx.warnings)
 
 
-def _flag_base_point(ctx: Context, ps: ProlongedSystem, res: CnsResult,
-                     factors: List[str]):
-    base = _on_jet_origin(ctx.base_point, ps.space)
-    for s in factors:
+def _flag_base_point(ctx: Context, res: CnsResult, locus: Dict[str, Poly]):
+    """Warn of each singular factor that vanishes at the jet origin of the
+    base point, skipping one in a tan-half parameter, which has no value
+    there, and of the filtrations whose rank drops there."""
+    for s, f in locus.items():
         try:
-            val = _eval_factor_string(ctx.sysdef, s, base)
-        except DslError:
+            vanishes = peval(f, ctx.base_point) == 0
+        except KeyError:
             continue
-        if val == 0:
+        if vanishes:
             ctx.warnings.append("singular factor %s vanishes at the base point" % s)
     dropped = [name for name, cert in res.certificates
                if cert.base_point_drop]
@@ -1041,13 +1044,6 @@ def _flag_base_point(ctx: Context, ps: ProlongedSystem, res: CnsResult,
         ctx.warnings.append(
             "verdict is generic: rank drops at the base point for " +
             ", ".join(dropped))
-
-
-def _eval_factor_string(sysdef: SystemDef, s: str, base) -> Fraction:
-    toks = tokenize(s + "\n")
-    p = _Parser(toks, sysdef)
-    e = p.expr()
-    return e.eval_at(base)
 
 
 def _audit_bounds(sysdef: SystemDef, j: MultiIndex, k_star: int,

@@ -14,10 +14,11 @@ from math import gcd
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from .expr import (PARAM, SIN, Expr, Poly, VarRef, cos_var, mono_div,
-                   pdivexact, pis_one, pleading, pmonomial_content, pmul,
-                   primitive_scale, pscale, pvar, param_var, render_expr,
-                   render_poly, sin_var, DenominatorVanishes, MONO_ONE)
+from .expr import (PARAM, SIN, TANHALF_PREFIX, Expr, JetOrigin, Poly, VarRef,
+                   cos_var, mono_div, pdivexact, pis_one, pleading,
+                   pmonomial_content, pmul, primitive_scale, pscale, pvar,
+                   param_var, render_expr, sin_var, DenominatorVanishes,
+                   MONO_ONE)
 
 
 class GeometryError(Exception):
@@ -184,17 +185,6 @@ class VectorField:
             self.variables()
         return out
 
-    def eval_row(self, point: dict) -> Dict[int, Fraction]:
-        """The sparse row {column: coefficient} at a rational `point`,
-        nonzero entries only."""
-        row = {}
-        col = self.space.col
-        for v, e in self.coeffs.items():
-            a = e.eval_at(point)
-            if a:
-                row[col(v)] = a
-        return row
-
     def render(self) -> str:
         if not self.coeffs:
             return "0"
@@ -356,13 +346,18 @@ class _SharedPoint(dict):
         self[v] = val
         return val
 
+    def value(self, e: Expr) -> int:
+        """e's value mod p here; DenominatorVanishes at a pole of e."""
+        return e.eval_mod(self, FP.p)
+
 
 class SamplePoints:
     """The sample points of one analysis, shared by the distributions that
     take them.  Point i gives each variable the value drawn from (seed, i,
     variable), so one point restricts to every jet space; the row of a field
     at a point is computed once, over columns numbered per variable on first
-    sight.  It refers to no distribution, so sharing it makes no cycle."""
+    sight, which the Q rows at a `JetOrigin` share.  It refers to no
+    distribution, so sharing it makes no cycle."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -376,14 +371,13 @@ class SamplePoints:
             self._points.append(_SharedPoint(self.seed, len(self._points)))
         return self._points[i]
 
-    def evaluate(self, v: VectorField,
-                 point: _SharedPoint) -> Optional[Dict[int, int]]:
-        """The sparse row of v at `point` over F_p, or None at a pole of v;
-        not cached."""
-        cols, p, row = self._cols, FP.p, {}
+    def evaluate(self, v: VectorField, point) -> Optional[Dict]:
+        """The sparse row of v at `point`, over F_p at one of these points
+        and over Q at a `JetOrigin`, or None at a pole of v; not cached."""
+        cols, value, row = self._cols, point.value, {}
         try:
             for c, e in v.coeffs.items():
-                a = e.eval_mod(point, p)
+                a = value(e)
                 if a:
                     row[cols.setdefault(c, len(cols))] = a
         except DenominatorVanishes:
@@ -588,21 +582,13 @@ class RankCertificate:
     # the symbolic pass's steps, which certified membership replays
     elimination: Optional["Elimination"] = None
 
-    def factor_strings(self) -> List[str]:
-        seen = []
-        for f in self.factors:
-            s = render_poly(f)
-            if s not in seen:
-                seen.append(s)
-        return seen
-
 
 _TANHALF: Dict[VarRef, VarRef] = {}
 
 
 def _tanhalf_var(base: VarRef) -> VarRef:
     if base not in _TANHALF:
-        _TANHALF[base] = param_var("tanhalf_%s" % (base.label or "v"))
+        _TANHALF[base] = param_var(TANHALF_PREFIX + (base.label or "v"))
     return _TANHALF[base]
 
 
@@ -926,16 +912,6 @@ def symbolic_rank(fields: Sequence[VectorField],
     return Elimination(rank, factors, space, steps, packing, degree)
 
 
-def _on_jet_origin(base_point: Dict[VarRef, Fraction],
-                   space: JetSpace) -> Dict[VarRef, Fraction]:
-    """The base point with every coordinate it leaves out at zero: the jet
-    origin, where the input derivatives vanish."""
-    bp = dict(base_point)
-    for v in space.coords:
-        bp.setdefault(v, Fraction(0))
-    return bp
-
-
 # ---------------------------------------------------------------------------
 # Distributions
 
@@ -950,18 +926,19 @@ class Distribution:
     rank) is computed on the first read of `rank`, `certificate` or
     `certified`.
 
-    A `prefix`, a distribution on the same points and base point whose
-    generators are all among this one's (else ValueError), is extended, not
-    rebuilt, even from a smaller prolongation (a Delta_{k-1} home): sample
-    rows number their columns per variable.  Its sample echelons, and its
-    base-point echelon if on this space, are copied and the rows of the
-    generators it lacks inserted.  The echelons are reduced, so they equal
-    a build from scratch on the same points, unless a new generator has a
-    pole at one of the prefix's points; then the sampled pass is rebuilt."""
+    The base point, if any, is a `JetOrigin`.  A `prefix`, a distribution
+    on the same points and base point whose generators are all among this
+    one's (else ValueError), is extended, not rebuilt, even from a smaller
+    prolongation (a Delta_{k-1} home): sample and base-point rows number
+    their columns per variable.  Its echelons are copied and the rows of
+    the generators it lacks inserted.  The echelons are reduced, so they
+    equal a build from scratch on the same points, unless a new generator
+    has a pole at one of the prefix's points; then the sampled pass is
+    rebuilt."""
 
     def __init__(self, space: JetSpace, generators: Sequence[VectorField],
                  seed: int = 0, samples: int = 5,
-                 base_point: Optional[Dict[VarRef, Fraction]] = None,
+                 base_point: Optional[JetOrigin] = None,
                  points: Optional[SamplePoints] = None,
                  prefix: Optional["Distribution"] = None):
         gens = []
@@ -1011,22 +988,21 @@ class Distribution:
             len(prefix._echelons) == len(prefix._sampled)
 
     def _base_echelon(self) -> Optional[PointEchelon]:
-        """The Q echelon of the generator rows at the base point, a prefix's
-        on this space extended; None at a pole of a generator there (a pole
-        of the prefix's is one of this distribution's)."""
+        """The Q echelon of the generator rows at the base point, the
+        prefix's extended; None at a pole of a generator there (a pole of the
+        prefix's is one of this distribution's)."""
         if self._base_ech is _UNSET:
-            ech, new, prefix = PointEchelon(), self.generators, self._prefix
-            if prefix is not None and prefix.space == self.space:
-                ech = prefix._base_echelon()
+            ech, new = PointEchelon(), self.generators
+            if self._prefix is not None:
+                ech, new = self._prefix._base_echelon(), self._new
                 ech = None if ech is None else ech.copy()
-                new = self._new
             if ech is not None:
-                bp = _on_jet_origin(self._base_point, self.space)
-                try:
-                    for f in new:
-                        ech.insert(f.eval_row(bp))
-                except DenominatorVanishes:
-                    ech = None
+                for f in new:
+                    row = self._points.evaluate(f, self._base_point)
+                    if row is None:
+                        ech = None
+                        break
+                    ech.insert(row)
             self._base_ech = ech
         return self._base_ech
 

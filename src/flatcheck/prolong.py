@@ -131,9 +131,10 @@ def delta_filtration(ps: ProlongedSystem, k: int) -> Distribution:
     return ps._distribution(("Delta", k), delta_generators(ps, k))
 
 
-def g_stabilization(ps: ProlongedSystem, k_cap: Optional[int] = None):
-    """Ranks of G_0..G_{k_star} and the first k with rank G_k = rank G_{k+1}."""
-    cap = k_cap if k_cap is not None else ps.sysdef.n + ps.j.total
+def g_stabilization(ps: ProlongedSystem):
+    """Ranks of G_0..G_{k_star} and the first k <= n + |j| with rank G_k =
+    rank G_{k+1}."""
+    cap = ps.sysdef.n + ps.j.total
     ranks = [g_filtration(ps, 0).rank]
     k = 0
     while k < cap:

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .expr import (Expr, VarRef, _plain_var_of, cos_var, input_var, param_var,
-                   render_expr, sin_var, state_var, tan_half_values)
+from .expr import (TANHALF_PREFIX, Expr, JetOrigin, VarRef, _plain_var_of,
+                   cos_var, input_var, param_var, render_expr, sin_var,
+                   state_var)
 from .report import AnalysisReport
 
 KEYWORDS = {"system", "state", "input", "param", "dot", "flatoutput", "point"}
@@ -188,14 +189,8 @@ class SystemDef:
         """Shift point used for singular-locus flags; origin by default."""
         pt = RationalPoint()
         entries = dict(self.base_point_entries)
-        trig = {v.label or v.name: v for v in self.trig_bases()}
         for i, name in enumerate(self.state_names, start=1):
-            v = self.state(i)
-            val = entries.pop(name, Fraction(0))
-            if name in trig:
-                pt.trig_t[v] = val
-            else:
-                pt.assign[v] = val
+            pt.assign[self.state(i)] = entries.pop(name, Fraction(0))
         for i, name in enumerate(self.input_names, start=1):
             pt.assign[self.input(i)] = entries.pop(name, Fraction(0))
         for name, declared in self.params.items():
@@ -210,17 +205,14 @@ class SystemDef:
 
 @dataclass
 class RationalPoint:
-    """Exact rational assignment; trig bases get a tan-half parameter so the
-    Pythagorean identity holds exactly."""
+    """Exact rational assignment.  The value of a variable under sin/cos is
+    its tan-half parameter, so the Pythagorean identity holds exactly."""
 
     assign: Dict[VarRef, Fraction] = field(default_factory=dict)
-    trig_t: Dict[VarRef, Fraction] = field(default_factory=dict)
 
-    def resolved(self) -> Dict[VarRef, Fraction]:
-        full = dict(self.assign)
-        for base, t in self.trig_t.items():
-            full.update(tan_half_values(base, t))
-        return full
+    def resolved(self) -> JetOrigin:
+        """The jet origin of this point (see `JetOrigin`)."""
+        return JetOrigin(self.assign)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +353,15 @@ def _ident(p: _Parser, what: str) -> Tok:
 
 
 def _new_name(p: _Parser, sysdef: SystemDef, what: str) -> Tok:
-    """An identifier not yet declared as a state, input or parameter."""
+    """An identifier not yet declared as a state, input or parameter, and
+    not a name of the internal tan-half parameters."""
     name = _ident(p, what)
     if name.text in sysdef.state_names or name.text in sysdef.input_names \
             or name.text in sysdef.params:
         raise DslError("duplicate name %r" % name.text, name.line, name.col)
+    if name.text.startswith(TANHALF_PREFIX):
+        raise DslError("names beginning with %r are reserved" % TANHALF_PREFIX,
+                       name.line, name.col)
     return name
 
 

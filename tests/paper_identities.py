@@ -9,8 +9,10 @@ reported sigma values of one step of the recursion, the membership and
 involutivity of a coordinate span, the sigma search's former survivor
 sweep, which re-checks every earlier k, the former fraction-free
 elimination over Q, which the elimination over Z[x] must agree with,
-the former nullspace of a row echelon form by back-substitution, and the
-former eager flat-output ansatz and search.
+the former nullspace of a row echelon form by back-substitution, the
+former eager flat-output ansatz and search, and the former base-point
+evaluators: a field's row numbered per jet space, and a singular factor
+rendered, parsed back through the system DSL and evaluated.
 """
 
 import itertools
@@ -33,7 +35,7 @@ from flatcheck.prolong import (ProlongedSystem, build_prolonged,
                                delta_filtration, g_filtration, g_level_fields,
                                g_stabilization, gamma_filtration)
 from flatcheck.report import SigmaStep
-from flatcheck.sysdsl import SystemDef
+from flatcheck.sysdsl import DslError, SystemDef, _Parser, tokenize
 
 
 class PreconditionNotMet(Exception):
@@ -340,6 +342,31 @@ def q_symbolic_rank(fields: List[VectorField], space: JetSpace):
         if rank == nrows:
             break
     return rank, factors
+
+
+# ---------------------------------------------------------------------------
+# The former base-point evaluators
+
+def eval_row(field: VectorField, point) -> dict:
+    """The sparse row {column: coefficient} of `field` at a rational
+    `point`, its columns numbered per jet space, nonzero entries only."""
+    row = {}
+    for v, e in field.coeffs.items():
+        a = e.eval_at(point)
+        if a:
+            row[field.space.col(v)] = a
+    return row
+
+
+def dsl_factor_value(sysdef: SystemDef, s: str, point) -> Optional[Fraction]:
+    """The rendered singular factor `s` parsed back through the system DSL
+    and evaluated at `point`; None where it does not parse, as for a factor
+    in a tan-half parameter, which no declaration names."""
+    try:
+        e = _Parser(tokenize(s + "\n"), sysdef).expr()
+    except DslError:
+        return None
+    return e.eval_at(point)
 
 
 # ---------------------------------------------------------------------------

@@ -207,3 +207,27 @@ def test_any_library_exception_exits_internal(monkeypatch, capsys):
     assert code == cli.EXIT_INTERNAL == 70
     assert capsys.readouterr().err == \
         "internal error: ValueError: min() arg is an empty sequence\n"
+
+
+def test_trig_inputs_and_parameters_reach_a_verdict(tmp_path, capsys):
+    from flatcheck import cli
+    for name, text in (
+            ("trig_input", "state x1 x2\ninput u1 u2\n"
+                           "dot x1 = sin(u1)\ndot x2 = u2\n"),
+            ("trig_param", "state x1 x2\ninput u1\nparam a = 1/2\n"
+                           "dot x1 = sin(a)*x2\ndot x2 = u1\n")):
+        path = tmp_path / (name + ".flt")
+        path.write_text("system %s\n%s" % (name, text))
+        code = cli.main(["analyze", "--json", str(path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code in (0, 1, 2) and doc["verdict"] == "p2_flat", name
+
+
+def test_a_tan_half_declaration_is_a_usage_error(tmp_path, capsys):
+    from flatcheck import cli
+    path = tmp_path / "tanhalf.flt"
+    path.write_text("system s\nstate x1 x2 x3\ninput u1 u2\n"
+                    "param tanhalf_x2\ndot x1 = u1 + u2\ndot x2 = x3\n"
+                    "dot x3 = tanhalf_x2*(1 + cos(x2))*u1 + sin(x2)*u2\n")
+    assert cli.main(["analyze", str(path)]) == cli.EXIT_USAGE == 64
+    assert "reserved" in capsys.readouterr().err

@@ -21,9 +21,10 @@ from flatcheck.prolong import (build_prolonged, delta_filtration,
 from flatcheck.report import INF
 from flatcheck.sysdsl import parse_system
 
-from conftest import (DRIFTLESS_PLUS_Z, DRIFTLESS_PLUS_Z2, load_fixture,
-                      widened_fixture)
-from paper_identities import all_k_survivors, sigma_delta, sigma_gamma_delta
+from conftest import (DRIFTLESS_PLUS_Z, DRIFTLESS_PLUS_Z2, ROOT, load_fixture,
+                      load_workloads, widened_fixture)
+from paper_identities import (all_k_survivors, eval_row, sigma_delta,
+                              sigma_gamma_delta)
 
 
 def double_integrator():
@@ -318,7 +319,7 @@ def test_certificates_are_computed_on_first_read(chained, driftless, clm,
             origin = {**{v: Fraction(0) for v in dist.space.coords},
                       **ctx.base_point}
             try:
-                at_origin = fraction_rank([g.eval_row(origin)
+                at_origin = fraction_rank([eval_row(g, origin)
                                            for g in dist.generators])
             except DenominatorVanishes:
                 at_origin = None
@@ -742,14 +743,89 @@ def test_base_point_override_clears_derivative_flag(chained):
 
 def test_base_point_flags_skip_the_tan_half_factor():
     # the singular locus names the internal tan-half parameter
-    # (tanhalf_x2^2 - 1), which the base-point check cannot parse and skips;
-    # every other factor is checked
+    # (tanhalf_x2^2 - 1), which has no value at the base point, so the
+    # check skips it; every other factor is checked
     rep = analyze(parse_system("system th\nstate x1 x2\ninput u1\n"
                                "dot x1 = sin(x2)\ndot x2 = u1\n"))
     assert rep.verdict == "p2_flat"
     flags = [w for w in rep.warnings if w.startswith("singular factor")]
     assert flags == ["singular factor sin(x2) vanishes at the base point",
                      "singular factor u1 vanishes at the base point"]
+
+
+TRIG_INPUT = ("system trig_input\nstate x1 x2\ninput u1 u2\n"
+              "dot x1 = sin(u1)\ndot x2 = u2\n")
+TRIG_PARAM = ("system trig_param\nstate x1 x2\ninput u1\nparam a = 1/2\n"
+              "dot x1 = sin(a)*x2\ndot x2 = u1\n")
+
+
+def test_base_point_flags_equal_the_dsl_round_trip(monkeypatch):
+    # every singular factor, kept as a polynomial, is evaluated at the jet
+    # origin of the base point; the former check rendered it, parsed it back
+    # through the DSL and evaluated it at the base point completed with zeros
+    # and with the tan-half values of every trig base.  Both skip a factor
+    # in a tan-half parameter and flag the same factors.
+    from flatcheck.expr import peval, tan_half_values
+    from flatcheck.prolong import build_space
+    from paper_identities import dsl_factor_value
+    wl = load_workloads()
+    texts = [text for name in wl.NAMES
+             for _, text in wl.workload(name, str(ROOT))]
+    assert len(texts) == 11
+    seen = []
+    flag = flatness._flag_base_point
+
+    def recorded(ctx, res, locus):
+        seen.append((ctx.base_point, dict(locus)))
+        return flag(ctx, res, locus)
+
+    monkeypatch.setattr(flatness, "_flag_base_point", recorded)
+    evaluated = skipped = 0
+    for text, seeds in [(t, (0, 11)) for t in texts] + \
+            [(TRIG_INPUT, (0,)), (TRIG_PARAM, (0,))]:
+        sysdef = parse_system(text)
+        for seed in seeds:
+            del seen[:]
+            rep = analyze(sysdef, Budgets(seed=seed))
+            if rep.verdict != "p2_flat":
+                assert not seen
+                continue
+            (origin, locus), = seen
+            assert list(locus) == rep.singular_locus
+            former = {v: Fraction(0)
+                      for v in build_space(sysdef, rep.j_min).coords}
+            former.update(sysdef.base_point().assign)
+            for b in sysdef.trig_bases():
+                former.update(tan_half_values(b, former[b]))
+            flags = []
+            for s, f in locus.items():
+                try:
+                    got = peval(f, origin)
+                except KeyError:
+                    got = None
+                assert got == dsl_factor_value(sysdef, s, former), \
+                    (sysdef.name, seed, s)
+                evaluated += got is not None
+                skipped += got is None
+                if got == 0:
+                    flags.append("singular factor %s vanishes at the base "
+                                 "point" % s)
+            assert [w for w in rep.warnings
+                    if w.startswith("singular factor")] == flags
+    assert evaluated > 150 and skipped > 0
+
+
+def test_the_decision_layer_imports_only_the_system_from_the_parser():
+    # the singular locus is evaluated as polynomials, not parsed back
+    import ast
+    tree = ast.parse((ROOT / "src" / "flatcheck" / "flatness.py").read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module in ("sysdsl", "flatcheck.sysdsl")
+             for alias in node.names]
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if "sysdsl" in alias.name]
+    assert names == ["SystemDef"] and not imports
 
 
 def test_no_reported_factor_is_a_power_of_one_plus_a_tan_half_square():

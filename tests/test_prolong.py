@@ -4,8 +4,9 @@ import random
 import pytest
 
 from flatcheck.expr import DenominatorVanishes, Expr
-from flatcheck.jetgeom import (Distribution, MultiIndex, SamplePoints,
-                               VectorField, ad_pow, lie_bracket, unit_field)
+from flatcheck.jetgeom import (Distribution, MultiIndex, PointEchelon,
+                               SamplePoints, VectorField, ad_pow, lie_bracket,
+                               unit_field)
 from flatcheck.prolong import (build_prolonged, delta_filtration,
                                delta_generators, g_filtration, g_level_fields,
                                g_stabilization, gamma_coordinates,
@@ -13,7 +14,7 @@ from flatcheck.prolong import (build_prolonged, delta_filtration,
 from flatcheck.flatness import Budgets, Context
 from flatcheck.sysdsl import SystemDef, parse_system
 
-from conftest import DRIFTLESS_PLUS_Z, random_system
+from conftest import DRIFTLESS_PLUS_Z, ROOT, load_workloads, random_system
 from paper_identities import (DomainError, PreconditionNotMet, ad_top,
                               bracket_comparison_check, decomposition_check,
                               gamma_field, gamma_rank_formula, gamma_sequence,
@@ -604,3 +605,78 @@ def test_gamma_filtration_always_involutive(chained, clm):
         for k in (0, 2, 5):
             ok, _ = span_is_involutive(gamma_filtration(ps, k))
             assert ok
+
+
+def test_delta_home_base_point_ranks_equal_a_build_from_scratch(
+        chained, driftless, clm, pendulum, threeinput, monkeypatch):
+    # a home extends its Delta_{k-1} home's base-point echelon even from a
+    # smaller jet space: base-point rows share the sample rows' columns
+    across = 0
+    for sysdef in (chained, driftless, clm, pendulum, threeinput):
+        for seed in (0, 11):
+            for ctx in _analysis_contexts(sysdef, seed, monkeypatch):
+                for (capped, k), dist in ctx._delta.items():
+                    where = (sysdef.name, seed, capped, k)
+                    fresh = Distribution(
+                        dist.space, dist.generators, seed=seed,
+                        samples=ctx.budgets.samples,
+                        base_point=ctx.base_point, points=ctx.points)
+                    got, want = dist.certified(False), fresh.certified(False)
+                    assert (got.base_point_rank, got.base_point_drop) == \
+                        (want.base_point_rank, want.base_point_drop), where
+                    ech, ref = dist._base_echelon(), fresh._base_echelon()
+                    assert (ech is None) == (ref is None), where
+                    assert ech is None or ech.rows == ref.rows, where
+                    prefix = dist._prefix
+                    across += prefix is not None and prefix.space != dist.space
+    assert across > 50
+
+
+def test_a_home_evaluates_only_its_new_generators_at_the_base_point(
+        monkeypatch):
+    # one deep_chains analyze pass at seed 0: the homes whose Delta_{k-1}
+    # home lies on a smaller jet space evaluate 12 rows at the base point,
+    # where rebuilding their echelons from scratch took 54
+    from flatcheck import flatness
+    from flatcheck.expr import JetOrigin
+    building, rows = [], {}
+    base_echelon = Distribution._base_echelon
+    evaluate = SamplePoints.evaluate
+
+    def tracked_echelon(self):
+        building.append(self)
+        try:
+            return base_echelon(self)
+        finally:
+            building.pop()
+
+    def counted(self, v, point):
+        if isinstance(point, JetOrigin):
+            rows[id(building[-1])] = rows.get(id(building[-1]), 0) + 1
+        return evaluate(self, v, point)
+
+    monkeypatch.setattr(Distribution, "_base_echelon", tracked_echelon)
+    monkeypatch.setattr(SamplePoints, "evaluate", counted)
+    made = []
+    init = flatness.Context.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(flatness.Context, "__init__", recorded)
+    for _, text in load_workloads().workload("deep_chains", str(ROOT)):
+        flatness.analyze(parse_system(text), Budgets(seed=0))
+    across = evaluated = 0
+    for ctx in made:
+        for dist in set(ctx._delta.values()):
+            # homes whose base-point echelon was read and has no pole
+            if dist._prefix is None or \
+                    not isinstance(dist._base_ech, PointEchelon):
+                continue
+            n = rows.get(id(dist), 0)
+            assert n == len(dist._new), dist.space.j
+            if dist._prefix.space != dist.space:
+                across += 1
+                evaluated += n
+    assert (across, evaluated) == (12, 12)

@@ -47,6 +47,19 @@ def test_declarations_reject_a_name_already_declared():
             parse_system(text + tail)
 
 
+def test_declarations_reject_the_tan_half_prefix():
+    # tanhalf_<base> names the internal tan-half parameter of a trig base;
+    # declared, it would be that same variable
+    tail = "dot x1 = u\n"
+    for text in ("system s\nstate x1 tanhalf_x1\ninput u\n",
+                 "system s\nstate x1\ninput u tanhalf_u\n",
+                 "system s\nstate x1\ninput u\nparam tanhalf_x2\n",
+                 "system s\nstate x1\ninput u\nparam tanhalf_ = 1\n"):
+        with pytest.raises(DslError, match="reserved"):
+            parse_system(text + tail)
+    parse_system("system s\nstate x1\ninput u\nparam tanhalf\n" + tail)
+
+
 def test_undeclared_identifier():
     with pytest.raises(UndeclaredIdentifier):
         parse_system("system s\nstate x1\ninput u\ndot x1 = y\n")
