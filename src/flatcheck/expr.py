@@ -1,12 +1,13 @@
 """Exact scalar arithmetic: multivariate rational functions over Q with trig atoms.
 
 Values are canonical fractions of expanded multivariate polynomials with
-Fraction coefficients.  sin/cos enter as atoms over a plain base variable,
-reduced by the single rewrite sin^2 -> 1 - cos^2, so the sin-degree of every
-canonical polynomial is at most 1 per base.  Denominators are kept sin-free
-(multiply through by the sin-conjugate), which makes the representation of a
-value unique: equality is bit-for-bit comparison of canonical forms and
-is_zero is decidable.
+rational coefficients (ints, and Fractions where a division brings them in).
+sin/cos enter as atoms over a plain base variable, reduced by the single
+rewrite sin^2 -> 1 - cos^2, so the sin-degree of every canonical polynomial
+is at most 1 per base.  Denominators are kept sin-free (multiply through by
+the sin-conjugate), which makes the representation of a value unique:
+equality is bit-for-bit comparison of canonical forms and is_zero is
+decidable.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class VarRef:
     def base(self) -> "VarRef":
         if self.trig == PLAIN:
             raise ValueError("not a trig atom")
-        return VarRef(self.kind, self.i, self.k, self.name, PLAIN,
-                      label=self.label.partition("(")[2].rstrip(")"))
+        return _interned(self.kind, self.i, self.k, self.name, PLAIN,
+                         self.label.partition("(")[2].rstrip(")"))
 
     def is_trig(self) -> bool:
         return self.trig != PLAIN
@@ -82,16 +83,31 @@ class VarRef:
         return self.label or repr(self)
 
 
+# one VarRef per (kind, i, k, name, trig, label), made on first request;
+# equality and hash stay structural, so a VarRef built directly still equals
+# the stored one
+_VARS: Dict[tuple, VarRef] = {}
+
+
+def _interned(kind: int, i: int, k: int, name: str, trig: int,
+              label: str) -> VarRef:
+    key = (kind, i, k, name, trig, label)
+    v = _VARS.get(key)
+    if v is None:
+        v = _VARS[key] = VarRef(kind, i, k, name, trig, label=label)
+    return v
+
+
 def state_var(i: int, label: str) -> VarRef:
-    return VarRef(STATE, i=i, label=label)
+    return _interned(STATE, i, 0, "", PLAIN, label)
 
 
 def input_var(i: int, k: int, label: str) -> VarRef:
-    return VarRef(UDERIV, i=i, k=k, label=label)
+    return _interned(UDERIV, i, k, "", PLAIN, label)
 
 
 def param_var(name: str) -> VarRef:
-    return VarRef(PARAM, name=name, label=name)
+    return _interned(PARAM, 0, 0, name, PLAIN, name)
 
 
 # the prefix of the internal tan-half parameters' names, which no declared
@@ -102,23 +118,23 @@ TANHALF_PREFIX = "tanhalf_"
 def sin_var(base: VarRef) -> VarRef:
     if base.trig != PLAIN:
         raise UnsupportedTrigComposition("trig atom over a trig atom")
-    return VarRef(base.kind, base.i, base.k, base.name, SIN,
-                  label="sin(%s)" % (base.label or base))
+    return _interned(base.kind, base.i, base.k, base.name, SIN,
+                     "sin(%s)" % (base.label or base))
 
 
 def cos_var(base: VarRef) -> VarRef:
     if base.trig != PLAIN:
         raise UnsupportedTrigComposition("trig atom over a trig atom")
-    return VarRef(base.kind, base.i, base.k, base.name, COS,
-                  label="cos(%s)" % (base.label or base))
+    return _interned(base.kind, base.i, base.k, base.name, COS,
+                     "cos(%s)" % (base.label or base))
 
 
 def tan_half_values(base: VarRef, t: Fraction) -> Dict[VarRef, Fraction]:
     """Values at tan-half parameter t: sin(base) = 2t/(1+t^2) and
     cos(base) = (1-t^2)/(1+t^2), so sin^2 + cos^2 = 1 holds exactly; base
     itself gets t, which is only meaningful through its atoms."""
-    return {base: t, sin_var(base): 2 * t / (1 + t * t),
-            cos_var(base): (1 - t * t) / (1 + t * t)}
+    return {base: t, sin_var(base): qdiv(2 * t, 1 + t * t),
+            cos_var(base): qdiv(1 - t * t, 1 + t * t)}
 
 
 class JetOrigin(dict):
@@ -136,7 +152,7 @@ class JetOrigin(dict):
         elif v.kind == PARAM:
             raise KeyError(v)
         else:
-            val = Fraction(0)
+            val = 0
         self[v] = val
         return val
 
@@ -236,13 +252,26 @@ _MONO_KEY = cmp_to_key(mono_cmp)
 
 
 # ---------------------------------------------------------------------------
-# Polynomials: dict mono -> Fraction (no zero coefficients, trig-reduced)
+# Polynomials: dict mono -> coefficient (no zero coefficients, trig-reduced).
+# Coefficients are ints; a Fraction enters only by a division (`qdiv`, which
+# gives an int for an integral quotient) and may stay one through products
+# and sums.  Fraction(n) == n with equal hashes, so either gives the same
+# keys.
 
 Poly = Dict[Mono, Fraction]
 
 
+def qdiv(a, b):
+    """a / b over Q: an int where the quotient is integral, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
 def pconst(q) -> Poly:
-    q = Fraction(q)
+    q = qdiv(q, 1)
     return {MONO_ONE: q} if q else {}
 
 
@@ -254,7 +283,7 @@ def pis_one(p: Poly) -> bool:
 
 
 def pvar(v: VarRef) -> Poly:
-    return {((v, 1),): Fraction(1)}
+    return {((v, 1),): 1}
 
 
 def _needs_trig_reduce(m: Mono) -> bool:
@@ -270,12 +299,12 @@ def reduce_trig(d: Poly) -> Poly:
         for m in bad:
             coeff = d.pop(m)
             rest = []
-            expand: Poly = {MONO_ONE: Fraction(1)}
+            expand: Poly = {MONO_ONE: 1}
             for v, e in m:
                 if v.trig == SIN and e >= 2:
                     q, r = divmod(e, 2)
                     c = cos_var(v.base)
-                    one_minus_c2 = {MONO_ONE: Fraction(1), ((c, 2),): Fraction(-1)}
+                    one_minus_c2 = {MONO_ONE: 1, ((c, 2),): -1}
                     for _ in range(q):
                         expand = pmul_raw(expand, one_minus_c2)
                     if r:
@@ -285,7 +314,7 @@ def reduce_trig(d: Poly) -> Poly:
             base = mono_from(rest)
             for mm, cc in expand.items():
                 key = mono_mul(base, mm)
-                val = d.get(key, Fraction(0)) + coeff * cc
+                val = d.get(key, 0) + coeff * cc
                 if val:
                     d[key] = val
                 else:
@@ -295,7 +324,7 @@ def reduce_trig(d: Poly) -> Poly:
 def padd(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for m, c in b.items():
-        v = out.get(m, Fraction(0)) + c
+        v = out.get(m, 0) + c
         if v:
             out[m] = v
         else:
@@ -314,7 +343,8 @@ def psub(a: Poly, b: Poly) -> Poly:
 def pscale(a: Poly, q: Fraction) -> Poly:
     if not q:
         return {}
-    return {m: c * q for m, c in a.items()}
+    n, d = q.numerator, q.denominator
+    return {m: qdiv(c * n, d) for m, c in a.items()}
 
 
 def pmul_raw(a: Poly, b: Poly) -> Poly:
@@ -324,7 +354,7 @@ def pmul_raw(a: Poly, b: Poly) -> Poly:
     for ma, ca in a.items():
         for mb, cb in b.items():
             key = mono_mul(ma, mb)
-            v = out.get(key, Fraction(0)) + ca * cb
+            v = out.get(key, 0) + ca * cb
             if v:
                 out[key] = v
             else:
@@ -369,7 +399,7 @@ def pdiff(a: Poly, v: VarRef) -> Poly:
 
 
 def peval(a: Poly, assign: Mapping[VarRef, Fraction]) -> Fraction:
-    total = Fraction(0)
+    total = 0
     for m, c in a.items():
         v = c
         for var, e in m:
@@ -393,7 +423,7 @@ def fraction_mod(q: Fraction, p: int) -> int:
 def peval_mod(a: Poly, assign: Mapping[VarRef, int], p: int) -> int:
     total = 0
     for m, c in a.items():
-        v = c.numerator if c.denominator == 1 else fraction_mod(c, p)
+        v = c if type(c) is int else fraction_mod(c, p)
         for var, e in m:
             v = v * (assign[var] if e == 1 else pow(assign[var], e, p)) % p
         total += v
@@ -442,8 +472,8 @@ def pdivexact(a: Poly, b: Poly) -> Poly:
     """Exact polynomial division; raises ArithmeticError if b does not divide a."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    if b == pconst(next(iter(b.values()))) and MONO_ONE in b:
-        return pscale(a, 1 / b[MONO_ONE])
+    if len(b) == 1 and MONO_ONE in b:
+        return pscale(a, qdiv(1, b[MONO_ONE]))
     rem = dict(a)
     out: Poly = {}
     lm, lc = pleading(b) if b else (None, None)
@@ -452,11 +482,11 @@ def pdivexact(a: Poly, b: Poly) -> Poly:
         q = mono_div(rm, lm)
         if q is None:
             raise ArithmeticError("inexact polynomial division")
-        qc = rc / lc
-        out[q] = out.get(q, Fraction(0)) + qc
+        qc = qdiv(rc, lc)
+        out[q] = out.get(q, 0) + qc
         for m, c in b.items():
             key = mono_mul(q, m)
-            v = rem.get(key, Fraction(0)) - qc * c
+            v = rem.get(key, 0) - qc * c
             if v:
                 rem[key] = v
             else:
@@ -468,7 +498,7 @@ def pmonic(a: Poly) -> Poly:
     if not a:
         return a
     _, lc = pleading(a)
-    return pscale(a, 1 / lc)
+    return pscale(a, qdiv(1, lc))
 
 
 def primitive_scale(coeffs: Iterable[Fraction]) -> Fraction:
@@ -507,7 +537,7 @@ def _from_univar(u: Dict[int, Poly], v: VarRef) -> Poly:
     for deg, coeff in u.items():
         vm = ((v, deg),) if deg else MONO_ONE
         for m, c in coeff.items():
-            out[mono_mul(m, vm)] = out.get(mono_mul(m, vm), Fraction(0)) + c
+            out[mono_mul(m, vm)] = out.get(mono_mul(m, vm), 0) + c
     return {m: c for m, c in out.items() if c}
 
 
@@ -559,8 +589,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if not b:
         return pmonic(a)
     if len(a) == 1 or len(b) == 1:
-        return {_mono_gcd(pmonomial_content(a), pmonomial_content(b)):
-                Fraction(1)}
+        return {_mono_gcd(pmonomial_content(a), pmonomial_content(b)): 1}
     v = _main_var(a, b)
     ua, ub = _to_univar(a, v), _to_univar(b, v)
     ca, pa = _uni_primitive(ua)
@@ -654,8 +683,8 @@ class Expr:
             raise DivisionByZero("zero denominator")
         _, lc = pleading(den)
         if lc != 1:
-            num = pscale(num, 1 / lc)
-            den = pscale(den, 1 / lc)
+            inv = qdiv(1, lc)
+            num, den = pscale(num, inv), pscale(den, inv)
         return Expr(num, den, _raw=True)
 
     @staticmethod
@@ -668,7 +697,7 @@ class Expr:
 
     @staticmethod
     def rational(q) -> "Expr":
-        return Expr.make(pconst(Fraction(q)), _PONE)
+        return Expr.make(pconst(q), _PONE)
 
     @staticmethod
     def var(v: VarRef) -> "Expr":
@@ -738,7 +767,7 @@ class Expr:
         d = peval(self.den, assign)
         if d == 0:
             raise DenominatorVanishes(assign)
-        return peval(self.num, assign) / d
+        return qdiv(peval(self.num, assign), d)
 
     def eval_mod(self, assign: Mapping[VarRef, int], p: int) -> int:
         """The value in F_p at a point of F_p: the image of the rational
@@ -772,7 +801,7 @@ def _plain_var_of(e: Expr) -> Optional[VarRef]:
 
 
 _ZERO = Expr({}, _PONE, _raw=True)
-_ONE = Expr({MONO_ONE: Fraction(1)}, {MONO_ONE: Fraction(1)}, _raw=True)
+_ONE = Expr({MONO_ONE: 1}, _PONE, _raw=True)
 
 
 # ---------------------------------------------------------------------------

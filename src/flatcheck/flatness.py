@@ -660,10 +660,15 @@ def _chain(ps: ProlongedSystem, y: Expr, length: int) -> List[Expr]:
 
 
 def _gradient_field(ps: ProlongedSystem, phi: Expr) -> VectorField:
-    """d phi, differentiated only in the coordinates phi involves."""
-    touched = phi.free_base_vars()
-    return VectorField(ps.space, {c: phi.diff(c) for c in ps.space.coords
-                                  if c in touched})
+    """d phi, differentiated only in the coordinates phi involves.  Kept on
+    ps beside the chains, so a search and the check of its outputs share it."""
+    grad = ps.gradients.get(phi)
+    if grad is None:
+        touched = phi.free_base_vars()
+        grad = ps.gradients[phi] = VectorField(
+            ps.space, {c: phi.diff(c) for c in ps.space.coords
+                       if c in touched})
+    return grad
 
 
 def verify_flat_output(ps: ProlongedSystem, candidates: Sequence[Expr]):
@@ -691,16 +696,26 @@ def verify_flat_output(ps: ProlongedSystem, candidates: Sequence[Expr]):
     return False, last_fail
 
 
+def _along(ps: ProlongedSystem, g: VectorField, y: Expr) -> Expr:
+    """g(y), read off y's kept gradient instead of differentiating again."""
+    grad = _gradient_field(ps, y).coeffs
+    out = Expr.zero()
+    for v, e in g.coeffs.items():
+        if v in grad:
+            out = out + e * grad[v]
+    return out
+
+
 def _verify_assignment(ps: ProlongedSystem, candidates, assign):
     for i, (y, kap) in enumerate(zip(candidates, assign)):
         for r in range(0, kap - 1):
             for g in g_level_fields(ps, r):
-                if not g.is_zero() and not g.apply(y).is_zero():
+                if not g.is_zero() and not _along(ps, g, y).is_zero():
                     return False, {"reason": "annihilation fails",
                                    "output": i + 1, "level": r,
                                    "generator": g.render()}
         top = [g for g in g_level_fields(ps, kap - 1) if not g.is_zero()]
-        if all(g.apply(y).is_zero() for g in top):
+        if all(_along(ps, g, y).is_zero() for g in top):
             return False, {"reason": "degenerate at top level",
                            "output": i + 1, "level": kap - 1}
     return True, None
@@ -736,7 +751,7 @@ def _ansatz_monomials(ps: ProlongedSystem, degree: int, dropped=()):
 
 
 def _mono_expr(combo) -> Expr:
-    return Expr.make({mono_from([(v, 1) for v in combo]): Fraction(1)},
+    return Expr.make({mono_from([(v, 1) for v in combo]): 1},
                      pconst(1))
 
 
@@ -864,7 +879,7 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
 
     def inserted(ech: PointEchelon, r: VectorField) -> bool:
         # False where r's row is dependent or has a pole at the point
-        key = (r.key(), ech.point.index)
+        key = (ps.points.field_id(r), ech.point.index)
         if key not in rows_at:
             rows_at[key] = ps.points.evaluate(r, ech.point)
         return rows_at[key] is not None and ech.insert(rows_at[key])

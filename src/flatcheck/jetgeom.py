@@ -17,7 +17,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 from .expr import (PARAM, SIN, TANHALF_PREFIX, Expr, JetOrigin, Poly, VarRef,
                    cos_var, mono_div, pdivexact, pis_one, pleading,
                    pmonomial_content, pmul, primitive_scale, pscale, pvar,
-                   param_var, render_expr, sin_var, DenominatorVanishes,
+                   param_var, qdiv, render_expr, sin_var, DenominatorVanishes,
                    MONO_ONE)
 
 
@@ -117,12 +117,12 @@ class JetSpace:
 class VectorField:
     """Sparse coordinate-indexed field sum_c coeff_c * d/dc on a jet space."""
 
-    __slots__ = ("space", "coeffs", "_key", "_vars")
+    __slots__ = ("space", "coeffs", "_key", "_vars", "_fid")
 
     def __init__(self, space: JetSpace, coeffs: Dict[VarRef, Expr]):
         self.space = space
         self.coeffs = {v: e for v, e in coeffs.items() if not e.is_zero()}
-        self._key = self._vars = None
+        self._key = self._vars = self._fid = None
 
     def key(self):
         # (coordinate, Expr) pairs: an Expr caches its hash, so the key of a
@@ -181,8 +181,8 @@ class VectorField:
         """The field with these coefficients on `space`, which must have
         every coordinate they involve."""
         out = VectorField(space, {})
-        out.coeffs, out._key, out._vars = self.coeffs, self.key(), \
-            self.variables()
+        out.coeffs, out._key, out._vars, out._fid = self.coeffs, self.key(), \
+            self.variables(), self._fid
         return out
 
     def render(self) -> str:
@@ -255,9 +255,9 @@ def ad_pow(v: VectorField, w: VectorField, k: int) -> VectorField:
 # Rank machinery
 
 class RationalField:
-    """Q, exactly: Fraction entries, points of Fractions."""
+    """Q, exactly: int or Fraction entries (`qdiv`), points of such."""
 
-    zero, one = Fraction(0), Fraction(1)
+    zero, one = 0, 1
 
     @staticmethod
     def neg(a: Fraction) -> Fraction:
@@ -265,8 +265,8 @@ class RationalField:
 
     @staticmethod
     def monic(row: Dict, pc: int) -> Dict:
-        s = 1 / row[pc]
-        return {c: a * s for c, a in row.items()}
+        p = row[pc]
+        return {c: qdiv(a, p) for c, a in row.items()}
 
     @staticmethod
     def axpy(row: Dict, f, prow: Dict):
@@ -363,8 +363,20 @@ class SamplePoints:
         self.seed = seed
         self._points: List[_SharedPoint] = []
         self._cols: Dict[VarRef, int] = {}
-        # (field key, point index) -> row, or None at a pole of the field
+        # field key -> field id
+        self._ids: Dict[tuple, int] = {}
+        # (field id, point index) -> row, or None at a pole of the field
         self._rows: Dict[tuple, Optional[Dict[int, int]]] = {}
+
+    def field_id(self, v: VectorField) -> int:
+        """A small int per distinct field key, assigned on first sight and
+        kept on the field, so fields with equal coefficients share rows and
+        a cached field's rows are found without comparing Exprs."""
+        fid = v._fid
+        if fid is None or fid[0] is not self:
+            ids = self._ids
+            fid = v._fid = (self, ids.setdefault(v.key(), len(ids)))
+        return fid[1]
 
     def point(self, i: int) -> _SharedPoint:
         while len(self._points) <= i:
@@ -387,7 +399,7 @@ class SamplePoints:
     def row(self, v: VectorField, point: _SharedPoint) -> Dict[int, int]:
         """The sparse row of v at `point` over F_p, cached for the life of
         these points; DenominatorVanishes at a pole of v."""
-        key = (v.key(), point.index)
+        key = (self.field_id(v), point.index)
         row = self._rows.get(key, False)
         if row is False:
             row = self._rows[key] = self.evaluate(v, point)
@@ -583,13 +595,8 @@ class RankCertificate:
     elimination: Optional["Elimination"] = None
 
 
-_TANHALF: Dict[VarRef, VarRef] = {}
-
-
 def _tanhalf_var(base: VarRef) -> VarRef:
-    if base not in _TANHALF:
-        _TANHALF[base] = param_var(TANHALF_PREFIX + (base.label or "v"))
-    return _TANHALF[base]
+    return param_var(TANHALF_PREFIX + (base.label or "v"))
 
 
 def _detrig_row(row: List[Poly], bases: Sequence[VarRef]) -> List[Poly]:
@@ -606,9 +613,9 @@ def _detrig_row(row: List[Poly], bases: Sequence[VarRef]) -> List[Poly]:
         if not deg:
             continue
         t = _tanhalf_var(b)
-        two_t = {((t, 1),): Fraction(2)}
-        one_m_t2 = {MONO_ONE: Fraction(1), ((t, 2),): Fraction(-1)}
-        one_p_t2 = {MONO_ONE: Fraction(1), ((t, 2),): Fraction(1)}
+        two_t = {((t, 1),): 2}
+        one_m_t2 = {MONO_ONE: 1, ((t, 2),): -1}
+        one_p_t2 = {MONO_ONE: 1, ((t, 2),): 1}
         new_row = []
         for p in row:
             new: Poly = {}
@@ -684,7 +691,7 @@ class _Packing:
         return [{pack(m): c for m, c in p.items()} if p else p for p in row]
 
     def poly(self, p: ZPoly) -> Poly:
-        return {self.unpack(k): Fraction(c) for k, c in p.items()}
+        return {self.unpack(k): c for k, c in p.items()}
 
     def repack(self, p: ZPoly, old: "_Packing") -> ZPoly:
         return {self.pack(old.unpack(k)): c for k, c in p.items()}
@@ -883,7 +890,8 @@ def symbolic_rank(fields: Sequence[VectorField],
     rows = [packing.row(row) for row in rows]
     guard = packing.guard
     squares = [{packing.pack(MONO_ONE): 1, packing.pack(((t, 2),)): 1}
-               for t in _TANHALF.values() if t in variables]
+               for t in variables
+               if t.kind == PARAM and t.name.startswith(TANHALF_PREFIX)]
     steps = []
     rank = 0
     prev = None

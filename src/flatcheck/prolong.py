@@ -51,6 +51,8 @@ class ProlongedSystem:
         self._dist_cache: Dict[Tuple[str, int], Distribution] = {}
         # y -> y and its first derivatives along g0 (flatness._chain)
         self.chains: Dict[Expr, List[Expr]] = {}
+        # chain entry -> its gradient field (flatness._gradient_field)
+        self.gradients: Dict[Expr, VectorField] = {}
 
     # -- memoized adjoint chains
 

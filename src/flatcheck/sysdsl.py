@@ -193,10 +193,14 @@ class SystemDef:
             pt.assign[self.state(i)] = entries.pop(name, Fraction(0))
         for i, name in enumerate(self.input_names, start=1):
             pt.assign[self.input(i)] = entries.pop(name, Fraction(0))
+        # a parameter under sin/cos is read as a tan-half value, where 1
+        # would be the angle pi/2, at which cos vanishes
+        trig = set(self.trig_bases())
         for name, declared in self.params.items():
-            val = entries.pop(name, None)
+            val = entries.pop(name, declared)
             if val is None:
-                val = declared if declared is not None else Fraction(1)
+                val = Fraction(1, 2) if self.param(name) in trig \
+                    else Fraction(1)
             pt.assign[self.param(name)] = val
         for name, val in entries.items():
             pt.assign[self.resolve(name, allow_derivatives=True)] = val

@@ -231,3 +231,29 @@ def test_a_tan_half_declaration_is_a_usage_error(tmp_path, capsys):
                     "dot x3 = tanhalf_x2*(1 + cos(x2))*u1 + sin(x2)*u2\n")
     assert cli.main(["analyze", str(path)]) == cli.EXIT_USAGE == 64
     assert "reserved" in capsys.readouterr().err
+
+
+def test_a_parameter_under_cos_defaults_off_its_zero(tmp_path, capsys):
+    # a parameter without a value is 1, but one under sin/cos is read as a
+    # tan-half value, where 1 is the angle pi/2 and cos vanishes; it gets
+    # 1/2 (sin 4/5, cos 3/5) instead
+    from fractions import Fraction
+
+    from flatcheck import cli
+    from flatcheck.expr import cos_var, sin_var
+    from flatcheck.sysdsl import parse_system
+    text = ("system trig_default\nstate x1 x2\ninput u1 u2\n"
+            "param b\nparam c\ndot x1 = sin(u1)*cos(b)\ndot x2 = c*u2\n")
+    path = tmp_path / "trig_default.flt"
+    path.write_text(text)
+    code = cli.main(["analyze", "--json", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["verdict"] == "p2_flat"
+    assert not any("vanishes" in w or "rank drops" in w
+                   for w in doc["warnings"]), doc["warnings"]
+    sysdef = parse_system(text)
+    origin = sysdef.base_point().resolved()
+    b, c = sysdef.param("b"), sysdef.param("c")
+    assert origin[b] == Fraction(1, 2) and origin[c] == 1
+    assert origin[cos_var(b)] == Fraction(3, 5)
+    assert origin[sin_var(b)] == Fraction(4, 5)

@@ -3,9 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from flatcheck.expr import (DenominatorVanishes, DivisionByZero, Expr,
-                            cos_var, input_var, param_var, render_expr,
+from conftest import ROOT, load_workloads
+from flatcheck import flatness
+from flatcheck.expr import (COS, PARAM, SIN, STATE, UDERIV,
+                            DenominatorVanishes, DivisionByZero, Expr, VarRef,
+                            cos_var, input_var, param_var, qdiv, render_expr,
                             sin_var, state_var)
+from flatcheck.jetgeom import QQ, MultiIndex
+from flatcheck.prolong import build_space
+from flatcheck.sysdsl import parse_system
+
+UNICYCLE = """system unicycle
+state x1 x2 x3
+input u1 u2
+dot x1 = u1*cos(x3)
+dot x2 = u1*sin(x3)
+dot x3 = u2
+"""
 
 X1 = state_var(1, "x1")
 X2 = state_var(2, "x2")
@@ -274,3 +288,138 @@ def test_trig_fraction_stress():
                 continue
         for m in a.den:
             assert all(v.trig != 1 for v, _ in m)
+
+
+# -- int coefficients and interned variables ----------------------------------
+
+def _all_fractions(e):
+    """e rebuilt with every coefficient a Fraction."""
+    return Expr({m: Fraction(q) for m, q in e.num.items()},
+                {m: Fraction(q) for m, q in e.den.items()}, _raw=True)
+
+
+def _coefficients(e):
+    return list(e.num.values()) + list(e.den.values())
+
+
+def test_coefficients_are_exact_and_key_as_all_fractions():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    def combine(args):
+        op, a, b = args
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        return a if b.is_zero() else a / b
+
+    consts = st.builds(Fraction, st.integers(-6, 6),
+                       st.integers(1, 4)).map(Expr.rational)
+    leaves = st.one_of(st.sampled_from([x1, x2, u1, s, c, Expr.var(EPS)]),
+                       consts)
+    exprs = st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), kids, kids).map(combine),
+        st.tuples(kids, st.sampled_from([X1, X2, U1, TH])).map(
+            lambda t: t[0].diff(t[1]))), max_leaves=8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(exprs)
+    def check(e):
+        for q in _coefficients(e):
+            assert type(q) in (int, Fraction)
+        f = _all_fractions(e)
+        assert f._key == e._key and hash(f) == hash(e) and f == e
+        assert render_expr(f) == render_expr(e)
+
+    check()
+
+
+def test_integral_quotients_are_ints():
+    assert qdiv(6, 3) == 2 and type(qdiv(6, 3)) is int
+    assert qdiv(-6, 4) == Fraction(-3, 2)
+    assert type(qdiv(Fraction(3, 2), Fraction(1, 2))) is int
+    assert type(qdiv(2, Fraction(1, 2))) is int
+    e = (Expr.rational(4) * x1 + Expr.rational(6)) / Expr.rational(2)
+    assert all(type(q) is int for q in _coefficients(e))
+    assert render_expr(e) == "2*x1 + 3"
+    # a value at an exact point: an int where integral, never a float
+    assert type((x1 / x2).eval_at({X1: 6, X2: 3})) is int
+    assert (x1 / x2).eval_at({X1: 1, X2: 3}) == Fraction(1, 3)
+    assert type(QQ.monic({0: 2, 1: 4}, 0)[1]) is int
+
+
+def _analysis_coefficients(sysdef, monkeypatch):
+    """The coefficients of the drift, of every G level field and of every
+    Delta link of `analyze`'s Context."""
+    seen = []
+
+    class Recording(flatness.Context):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self)
+
+    monkeypatch.setattr(flatness, "Context", Recording)
+    flatness.analyze(sysdef, flatness.Budgets(seed=0))
+    exprs = list(sysdef.f)
+    for ctx in seen:
+        for ps in ctx._ps.values():
+            exprs += ps.g0.coeffs.values()
+            for level in ps._g_levels:
+                for g in level:
+                    exprs += g.coeffs.values()
+        for link in ctx._links:
+            exprs += link.coeffs.values()
+    assert seen and len(exprs) > len(sysdef.f)
+    return [q for e in exprs for q in _coefficients(e)]
+
+
+def _int_systems():
+    wl = load_workloads()
+    out = [(name, text) for w in ("deep_chains", "wide_inputs")
+           for name, text in wl.workload(w, str(ROOT))]
+    return out + [(name, wl.fixture_text(str(ROOT), name))
+                  for name in ("chained", "driftless", "clm", "threeinput")]
+
+
+INT_SYSTEMS = _int_systems()
+
+
+@pytest.mark.parametrize("name,text", INT_SYSTEMS,
+                         ids=[n for n, _ in INT_SYSTEMS])
+def test_analysis_fields_have_int_coefficients(name, text, monkeypatch):
+    coeffs = _analysis_coefficients(parse_system(text), monkeypatch)
+    assert coeffs and all(type(q) is int for q in coeffs)
+
+
+def test_each_variable_is_one_object():
+    b = state_var(4, "theta")
+    pairs = [(state_var(4, "theta"), VarRef(STATE, i=4, label="theta")),
+             (input_var(2, 3, "u2_3"), VarRef(UDERIV, i=2, k=3,
+                                              label="u2_3")),
+             (param_var("eps"), VarRef(PARAM, name="eps", label="eps")),
+             (sin_var(b), VarRef(STATE, i=4, trig=SIN, label="sin(theta)")),
+             (cos_var(b), VarRef(STATE, i=4, trig=COS, label="cos(theta)"))]
+    for stored, built in pairs:
+        assert stored is not built
+        assert stored == built and hash(stored) == hash(built)
+        assert str(stored) == str(built)
+    assert state_var(4, "theta") is b is TH
+    assert input_var(2, 3, "u2_3") is pairs[1][0]
+    assert param_var("eps") is EPS
+    assert sin_var(b) is pairs[3][0] and cos_var(TH) is pairs[4][0]
+    assert sin_var(b).base is b and cos_var(b).base is b
+    # the label is part of what is stored: equal variables, other labels
+    other = state_var(4, "y4")
+    assert other is not b and other == b and str(other) == "y4"
+    assert state_var(4, "theta") is b
+    assert sin_var(other) is not sin_var(b) and \
+        str(sin_var(other)) == "sin(y4)" and sin_var(other).base is other
+    # the system's own variables, on every space and every call
+    sysdef = parse_system(UNICYCLE)
+    assert sysdef.state(3) is sysdef.state(3) is state_var(3, "x3")
+    assert sysdef.input(1, 2) is input_var(1, 2, "u1_2")
+    assert build_space(sysdef, MultiIndex((2, 1))).coords[3] is \
+        sysdef.input(1, 0)

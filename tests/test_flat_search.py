@@ -4,6 +4,7 @@ chains grown a derivative at a time, and the chain prefixes that the one
 `verify_flat_output` of `analyze` reuses."""
 
 import json
+import sys
 
 import pytest
 
@@ -11,9 +12,9 @@ from conftest import ROOT, load_fixture, load_workloads
 from flatcheck import flatness
 from flatcheck.expr import Expr
 from flatcheck.flatness import (Budgets, _kappa_from_ranks, _Lazy,
-                                _nullspace_pools, analyze,
+                                _nullspace_pools, analyze, cns_check,
                                 search_flat_outputs)
-from flatcheck.jetgeom import QQ, PointEchelon, VectorField
+from flatcheck.jetgeom import QQ, PointEchelon, SamplePoints, VectorField
 from flatcheck.prolong import build_prolonged, g_stabilization
 from flatcheck.sysdsl import parse_system
 
@@ -203,3 +204,84 @@ def test_verifying_the_found_outputs_derives_no_chain_again(
     if rep.flat_outputs is not None:
         assert seen["verifies"] == 1
         assert seen["g0_applies"] == 0
+
+
+@pytest.mark.parametrize("name,sysdef,j", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+def test_verifying_the_found_outputs_differentiates_nothing(
+        name, sysdef, j, monkeypatch):
+    # the search keeps each chain entry's gradient beside the chain, and
+    # the check reads the found outputs' G conditions and chain Jacobian
+    # off those gradients
+    seen = {"inside": False, "verifies": 0, "diffs": 0}
+    diff, verify = Expr.diff, flatness.verify_flat_output
+
+    def counting_diff(self, v):
+        seen["diffs"] += seen["inside"]
+        return diff(self, v)
+
+    def counting_verify(ps, candidates):
+        seen["inside"] = True
+        seen["verifies"] += 1
+        try:
+            return verify(ps, candidates)
+        finally:
+            seen["inside"] = False
+
+    monkeypatch.setattr(Expr, "diff", counting_diff)
+    monkeypatch.setattr(flatness, "verify_flat_output", counting_verify)
+    rep = analyze(sysdef, Budgets(seed=0))
+    assert (rep.flat_outputs is None) == (name == "pendulum")
+    if rep.flat_outputs is not None:
+        assert seen["verifies"] == 1
+        assert seen["diffs"] == 0
+
+
+def test_a_fresh_verify_reads_g_conditions_off_the_gradients():
+    # without a search, the check builds each output's gradient once and
+    # reads every G condition and the chain Jacobian's first rows off it
+    wl = load_workloads()
+    sysdef = parse_system(wl.chained_text(3, 3))
+    j = _EXPECTED["systems"]["chained_3_3"]["j_min"]
+    ps = build_prolonged(sysdef, j)
+    want = {y: {g: g.apply(y) for level in range(len(ps.sysdef.f) + sum(j))
+                for g in flatness.g_level_fields(ps, level)}
+            for y in sysdef.declared_flat_outputs}
+    ok, _ = flatness.verify_flat_output(ps, sysdef.declared_flat_outputs)
+    assert ok
+    for y, applied in want.items():
+        assert y in ps.gradients
+        for g, gy in applied.items():
+            assert flatness._along(ps, g, y) == gy
+
+
+def test_rows_of_fields_with_equal_coefficients_compare_no_exprs(monkeypatch):
+    # the G level fields of a channel with j_p = 0 and the Context's chain
+    # links have equal coefficients but are separate objects: their rows
+    # are found by a field id, and Exprs are compared only when a field
+    # object is first given an id
+    wl = load_workloads()
+    calls = {}
+    first_sights = {}
+    eq, row = Expr.__eq__, SamplePoints.row
+
+    def counting_eq(self, other):
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] = calls.get(caller, 0) + 1
+        return eq(self, other)
+
+    def recording_row(self, v, point):
+        first_sights.setdefault(id(v), (v, len(v.coeffs)))
+        return row(self, v, point)
+
+    monkeypatch.setattr(Expr, "__eq__", counting_eq)
+    monkeypatch.setattr(SamplePoints, "row", recording_row)
+    for name, text in wl.workload("deep_chains", str(ROOT)):
+        sysdef = parse_system(text)
+        j = _EXPECTED["systems"][name]["j_min"]
+        assert cns_check(sysdef, j, seed=0).ok
+        ps = build_prolonged(sysdef, j, seed=0,
+                             base_point=sysdef.base_point().resolved())
+        assert flatness.verify_flat_output(
+            ps, sysdef.declared_flat_outputs)[0]
+    assert first_sights and "row" not in calls and "recording_row" not in calls
+    assert calls.get("field_id", 0) <= sum(n for _, n in first_sights.values())

@@ -845,6 +845,22 @@ def test_no_reported_factor_is_a_power_of_one_plus_a_tan_half_square():
     assert not powers & set(rep.singular_locus)
 
 
+def test_tan_half_names_do_not_depend_on_earlier_systems():
+    # state 3 is a trig base in both systems, under its own name in each;
+    # a tan-half parameter is named after the label it has in this system,
+    # whichever system the process analysed before
+    a = ("system a\nstate x1 x2 x3\ninput u1 u2\ndot x1 = u1*cos(x3)\n"
+         "dot x2 = u1*sin(x3)\ndot x3 = u2\n")
+    b = ("system b\nstate p q th\ninput v w\ndot p = v*cos(th)\n"
+         "dot q = v*sin(th)\ndot th = w\n")
+    for first, second, own, other in ((a, b, "tanhalf_th", "tanhalf_x3"),
+                                      (b, a, "tanhalf_x3", "tanhalf_th")):
+        analyze(parse_system(first))
+        locus = analyze(parse_system(second)).singular_locus
+        assert any(own in f for f in locus), locus
+        assert not any(other in f for f in locus), locus
+
+
 def test_analyze_samples_every_distribution_at_the_shared_points(
         chained, driftless, clm, pendulum, threeinput, monkeypatch):
     # no draws of its own anywhere: every Distribution an analysis builds,
