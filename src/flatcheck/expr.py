@@ -254,9 +254,9 @@ _MONO_KEY = cmp_to_key(mono_cmp)
 # ---------------------------------------------------------------------------
 # Polynomials: dict mono -> coefficient (no zero coefficients, trig-reduced).
 # Coefficients are ints; a Fraction enters only by a division (`qdiv`, which
-# gives an int for an integral quotient) and may stay one through products
-# and sums.  Fraction(n) == n with equal hashes, so either gives the same
-# keys.
+# gives an int for an integral quotient).  Sums and products of Fractions may
+# be integral: `_ints` makes them ints where an `Expr` is made.
+# Fraction(n) == n with equal hashes, so either gives the same keys.
 
 Poly = Dict[Mono, Fraction]
 
@@ -268,6 +268,20 @@ def qdiv(a, b):
         return Fraction(a, b) if r else q
     q = a / b
     return q.numerator if q.denominator == 1 else q
+
+
+def _has_fraction(p: Poly) -> bool:
+    # one C-level sum: a Fraction term makes the sum a Fraction
+    return type(sum(p.values())) is not int
+
+
+def _ints(p: Poly) -> Poly:
+    """p with each integral Fraction coefficient an int (p itself when
+    every coefficient is an int)."""
+    if not _has_fraction(p):
+        return p
+    return {m: c.numerator if type(c) is not int and c.denominator == 1
+            else c for m, c in p.items()}
 
 
 def pconst(q) -> Poly:
@@ -633,13 +647,17 @@ def _join_sin_components(comps) -> Poly:
 class Expr:
     """Immutable canonical rational function over Q in VarRefs."""
 
-    __slots__ = ("num", "den", "_key", "_hash")
+    __slots__ = ("num", "den", "_key", "_hash", "_q")
 
-    def __init__(self, num: Poly, den: Poly, _raw=False):
+    def __init__(self, num: Poly, den: Poly, _raw=False, _q=None):
         if not _raw:
             raise TypeError("use Expr.make / constructors")
         self.num = num
         self.den = den
+        # whether a coefficient is a Fraction: only then can a sum or a
+        # product with this one have an integral Fraction coefficient
+        self._q = _has_fraction(num) or _has_fraction(den) if _q is None \
+            else _q
         self._key = (tuple(sorted(num.items(), key=lambda p: _MONO_KEY(p[0]))),
                      tuple(sorted(den.items(), key=lambda p: _MONO_KEY(p[0]))))
         self._hash = hash(self._key)
@@ -685,7 +703,11 @@ class Expr:
         if lc != 1:
             inv = qdiv(1, lc)
             num, den = pscale(num, inv), pscale(den, inv)
-        return Expr(num, den, _raw=True)
+        q = _has_fraction(num) or _has_fraction(den)
+        if q:
+            num, den = _ints(num), _ints(den)
+            q = _has_fraction(num) or _has_fraction(den)
+        return Expr(num, den, _raw=True, _q=q)
 
     @staticmethod
     def zero() -> "Expr":
@@ -723,7 +745,10 @@ class Expr:
     def __add__(self, other: "Expr") -> "Expr":
         if self.den == other.den:
             if pis_one(self.den):
-                return Expr(padd(self.num, other.num), _PONE, _raw=True)
+                num = padd(self.num, other.num)
+                if self._q or other._q:
+                    return _over_one(num)
+                return Expr(num, _PONE, _raw=True, _q=False)
             return Expr.make(padd(self.num, other.num), self.den)
         return Expr.make(
             padd(pmul(self.num, other.den), pmul(other.num, self.den)),
@@ -733,11 +758,14 @@ class Expr:
         return self + (-other)
 
     def __neg__(self) -> "Expr":
-        return Expr(pneg(self.num), self.den, _raw=True)
+        return Expr(pneg(self.num), self.den, _raw=True, _q=self._q)
 
     def __mul__(self, other: "Expr") -> "Expr":
         if pis_one(self.den) and pis_one(other.den):
-            return Expr(pmul(self.num, other.num), _PONE, _raw=True)
+            num = pmul(self.num, other.num)
+            if self._q or other._q:
+                return _over_one(num)
+            return Expr(num, _PONE, _raw=True, _q=False)
         return Expr.make(pmul(self.num, other.num), pmul(self.den, other.den))
 
     def __truediv__(self, other: "Expr") -> "Expr":
@@ -758,7 +786,9 @@ class Expr:
             raise ValueError("cannot differentiate with respect to a trig atom")
         dn = pdiff(self.num, v)
         if pis_one(self.den):
-            return Expr(dn, _PONE, _raw=True)
+            if self._q:
+                return _over_one(dn)
+            return Expr(dn, _PONE, _raw=True, _q=False)
         dd = pdiff(self.den, v)
         return Expr.make(psub(pmul(dn, self.den), pmul(self.num, dd)),
                          pmul(self.den, self.den))
@@ -798,6 +828,14 @@ def _plain_var_of(e: Expr) -> Optional[VarRef]:
     if c != 1 or len(m) != 1 or m[0][1] != 1 or m[0][0].is_trig():
         return None
     return m[0][0]
+
+
+def _over_one(num: Poly) -> Expr:
+    """num / 1 where an operand had a Fraction coefficient: an integral one
+    of num becomes an int.  (Ints alone give ints, so the arithmetic does
+    not call this for them.)"""
+    num = _ints(num)
+    return Expr(num, _PONE, _raw=True, _q=_has_fraction(num))
 
 
 _ZERO = Expr({}, _PONE, _raw=True)

@@ -480,10 +480,28 @@ class SigmaRun:
     sigma vectors with the non-binding-0 convention, and the candidate
     prolongation as the componentwise minimum of the surviving box.
 
-    Step k asks `Context` once per class: Delta_k reads cap(l, k+1) and
-    Gamma_k cap(l, 2k).  A tuple l survived steps 1..k-1 iff cap(l, 2k-2)
-    survived step k-1, whose box reaches 2k-1: step j < k reads caps at
-    j+1 and 2j, both <= 2k-2."""
+    Step k reads classes c = cap(l, k+1) in [1..k+1]^w, not box tuples.
+    Delta_k depends on c only.  Gamma_k is read on c's home, channel by
+    channel: channel p's Gamma coordinates of order < k are u_p^(s) for
+    1 <= s <= min(c_p, k-1) when c_p <= k, and for max(l_p - k, 1) <= s <=
+    k-1 when c_p = k+1, a range that shrinks as l_p grows.  So the tuples of
+    class c that satisfy Gamma_k form a product: l_p = c_p where c_p <= k and
+    none of those u_p^(s) fails, l_p >= k+1+s where c_p = k+1 and s is the
+    largest failing u_p^(s) (0 if none; so l_p >= 2k always passes).
+
+    A set of tuples the step needs is a union of such blocks, one per
+    class, each given by its corner lo: l_p = lo_p where lo_p <= k, and
+    l_p >= lo_p elsewhere.  The survivors are kept as corners, and a union's
+    componentwise minimum and smallest tuple are read off its corners.  A
+    tuple survived steps 1..k-1 iff it lies in a block of step k-1; such a
+    block meets the classes c with cap(c, k) = cap(lo, k).
+
+    Step k asks `Context` only about the classes it reads: those meeting the
+    last survivors (the Delta_{k-1} homes of which are the prefixes of their
+    homes); then, only where a reported minimum is not masked, the other
+    classes in increasing order of the coordinate, until none can lower it;
+    and, only when no class meeting the survivors satisfies Delta_k, the
+    others until one does."""
 
     def __init__(self, ctx: Context, init: Initialization):
         self.ctx = ctx
@@ -498,15 +516,8 @@ class SigmaRun:
         self.failure_note: Optional[str] = None
         self.witnesses: List[dict] = []
         self.last_bound: Optional[Tuple[int, ...]] = None
-        # every tuple survives step 0, and cap(l, 2*1 - 2) is all zeros
-        self._survivors: Set[Tuple[int, ...]] = {(0,) * self.width}
-
-    def _tuples(self, box: int) -> List[Tuple[int, ...]]:
-        return list(itertools.product(range(1, box + 1), repeat=self.width))
-
-    def _satisfying(self, check, k: int, cap: int) -> Set[Tuple[int, ...]]:
-        return {c for c in self._tuples(cap)
-                if check(_embed(self.init, self.m, c), k)[0]}
+        # the corners of the survivors' blocks: every tuple survives step 0
+        self._survivors: Set[Tuple[int, ...]] = {(1,) * self.width}
 
     def _step0(self):
         # k = 0: both conditions hold for every l (coordinate fields); the
@@ -525,30 +536,121 @@ class SigmaRun:
         clone.steps.extend(self.steps[1:])
         return clone
 
+    def _least(self, k: int, least, asked) -> Tuple:
+        """The componentwise minimum of a union of blocks, one per class,
+        INF where it is empty: least(c, i) is None, or the least l_i of the
+        block of class c, which is >= c_i.  Coordinate i reads the classes
+        with c_i = 1, 2, ..., the `asked` ones of each first, while c_i is
+        below the least found."""
+        out = []
+        for i in range(self.width):
+            best = INF
+            for v in range(1, k + 2):
+                if v >= best:
+                    break
+                ranges = [range(1, k + 2)] * self.width
+                ranges[i] = (v,)
+                for c in sorted(itertools.product(*ranges),
+                                key=lambda c: c not in asked):
+                    b = least(c, i)
+                    if b is not None and b < best:
+                        best = b
+                        if best == v:
+                            break
+            out.append(best)
+        return tuple(out)
+
     def step(self, k: int, box: int):
-        """Evaluate both conditions on the box at k, record the SigmaStep and
-        return (s_delta, sorted survivors of every step up to k)."""
-        tuples = self._tuples(box)
-        ok_d = self._satisfying(self.ctx.delta_involutive, k, k + 1)
-        ok_g = self._satisfying(self.ctx.gamma_invariant, k, 2 * k)
-        s_delta = {t for t in tuples if _cap(t, k + 1) in ok_d}
-        s_gamma = {t for t in tuples if _cap(t, 2 * k) in ok_g}
-        prior = {t for t in tuples if _cap(t, 2 * k - 2) in self._survivors}
-        surv = sorted(prior & s_delta & s_gamma)
+        """Evaluate both conditions at k, record the SigmaStep and return
+        (whether a tuple of the box satisfies Delta_k, the sorted corners of
+        the blocks of the tuples that satisfy every step up to k)."""
+        ctx, init, m, channels = self.ctx, self.init, self.m, self.channels
+        homes: Dict[Tuple[int, ...], Distribution] = {}
+        delta: Dict[Tuple[int, ...], bool] = {}
+        gamma: Dict[Tuple[int, ...], bool] = {}
+
+        def home(c):
+            if c not in homes:
+                homes[c] = ctx.home(_embed(init, m, c), k)
+            return homes[c]
+
+        def delta_ok(c):
+            if c not in delta:
+                delta[c] = home(c).is_involutive(ctx.bracket)[0]
+            return delta[c]
+
+        def failing(c, i, floor=0):
+            # the largest order s > floor of a Gamma_k coordinate u_p^(s) of
+            # channel p = channels[i] at l_p = c_i that fails on c's home,
+            # 0 if none; one that no generator involves passes
+            dist = home(c)
+            involved = dist.variables()
+            for v in ctx._gamma_coordinates_below(channels[i], c[i], k):
+                if v.k <= floor:
+                    break
+                if v in involved and \
+                        dist.coordinate_failure(v, ctx.bracket) is not None:
+                    return v.k
+            return 0
+
+        def gamma_ok(c):
+            # whether some tuple of class c satisfies Gamma_k
+            if c not in gamma:
+                gamma[c] = not any(cp <= k and failing(c, i)
+                                   for i, cp in enumerate(c))
+            return gamma[c]
+
+        def gamma_least(c, i, floor=0):
+            # max(floor, the least l_i of the tuples of class c that satisfy
+            # Gamma_k), None if there are none; a failing order s matters
+            # only if k + 1 + s > floor
+            if not gamma_ok(c):
+                return None
+            if c[i] <= k:
+                return max(floor, c[i])
+            return max(floor, k + 1 + failing(c, i, floor - k - 1))
+
+        # mask each reported sigma to 0 while its condition eliminates no
+        # survivor of step k-1 that the other allows
+        surv, mask_d, mask_g = [], True, True
+        for last in sorted(self._survivors):
+            for c in itertools.product(*[
+                    (v,) if v < k else (k, k + 1) if v == k else (k + 1,)
+                    for v in last]):
+                # the corner of the survivors of step k-1 in class c
+                prior = tuple(cp if cp <= k else max(cp, v)
+                              for cp, v in zip(c, last))
+                if delta_ok(c):
+                    lo = None
+                    if gamma_ok(c):
+                        lo = tuple(gamma_least(c, i, v)
+                                   for i, v in enumerate(prior))
+                        surv.append(lo)
+                    mask_g = mask_g and lo == prior
+                elif mask_d:
+                    mask_d = not gamma_ok(c)
+        zero = (0,) * self.width
+        rep_d = zero if mask_d else self._least(
+            k, lambda c, i: c[i] if delta_ok(c) else None, delta)
+        rep_g = zero if mask_g else self._least(k, gamma_least, gamma)
+        found = any(delta.values()) or any(
+            delta_ok(c) for c in itertools.product(range(1, k + 2),
+                                                   repeat=self.width))
+        surv.sort()
         self._survivors = set(surv)
-        # reported sigma: literal componentwise min, masked to 0 when the
-        # condition eliminates nothing that everything else allows
-        lit_d = _cmin(s_delta, self.width)
-        lit_g = _cmin(s_gamma, self.width)
-        rep_d = (0,) * self.width if (prior & s_gamma) <= s_delta else lit_d
-        rep_g = (0,) * self.width if (prior & s_delta) <= s_gamma else lit_g
         witness = None
         if surv:
             w = _smallest(surv)
-            witness = {self.ctx.sysdef.input_names[c - 1]: v
-                       for c, v in zip(self.channels, w)}
+            witness = {ctx.sysdef.input_names[c - 1]: v
+                       for c, v in zip(channels, w)}
         self.steps.append(SigmaStep(k, rep_d, rep_g, witness, box))
-        return s_delta, surv
+        return found, surv
+
+    def _covers(self, surv: List[Tuple[int, ...]], t: Tuple[int, ...],
+                k: int) -> bool:
+        """Whether t lies in a block of the corners `surv` of step k."""
+        return any(all(tp == lp if lp <= k else tp >= lp
+                       for tp, lp in zip(t, lo)) for lo in surv)
 
     def run(self, best_total: Optional[int] = None):
         ctx, init = self.ctx, self.init
@@ -560,11 +662,11 @@ class SigmaRun:
         prev_state = None
         for k in range(1, ctx.budgets.resolved_max_k(sysdef) + 1):
             box = _box_limit(k, user_box)
-            s_delta, surv = self.step(k, box)
-            if not s_delta:
+            found, surv = self.step(k, box)
+            if not found:
                 self.outcome = "infinite"
                 self.failure_k = k
-                self._record_noninvolutive_witness(k, box)
+                self._record_noninvolutive_witness(k)
                 break
             if not surv:
                 self.outcome = "infinite"
@@ -573,7 +675,7 @@ class SigmaRun:
                                      "satisfies every step up to k=%d" % k)
                 break
             cand = _cmin(surv, self.width)
-            if cand not in surv:
+            if not self._covers(surv, cand, k):
                 ctx.warnings.append(
                     "componentwise minimum of the satisfying set is not itself "
                     "satisfying at k=%d (kept=%s); using the smallest element"
@@ -618,9 +720,11 @@ class SigmaRun:
         self._survivors = set()
         return self
 
-    def _record_noninvolutive_witness(self, k: int, box: int):
-        # called when s_delta is empty, so every tuple fails Delta_k
-        for t in self._tuples(box)[:3]:
+    def _record_noninvolutive_witness(self, k: int):
+        # called when no tuple satisfies Delta_k: the classes of the first
+        # three tuples of the box, whose last entry runs 1, 2, 3
+        for last in (1, 2, 3):
+            t = (1,) * (self.width - 1) + (last,)
             jf = _embed(self.init, self.m, _cap(t, k + 1))
             _, fail = self.ctx.delta_involutive(jf, k)
             self.witnesses.append({"l": list(jf), "k": k, **_rendered(fail)})
@@ -805,10 +909,14 @@ def _nullspace_pools(ps: ProlongedSystem, kappas: Collection[int],
     for kap in kaps:
         while level < kap - 1:
             for g in g_level_fields(ps, level):
+                # the columns whose unit row lies in the span: the reduced
+                # echelon holds each as a row
+                zeroed = {pc for pc, row in ech.rows if len(row) == 1}
                 c = _killed_letter(g, trig)
-                for row in ([{col: QQ.one} for col in cols_of.get(c, ())]
+                for row in ([{col: QQ.one} for col in cols_of.get(c, ())
+                             if col not in zeroed]
                             if c is not None else
-                            _ansatz_conditions(g, cols_of, partial)):
+                            _ansatz_conditions(g, cols_of, partial, zeroed)):
                     ech.insert(row)
             level += 1
         ys = (Expr.make({mono_from([(v, 1) for v in monos[col]]): c
@@ -820,14 +928,18 @@ def _nullspace_pools(ps: ProlongedSystem, kappas: Collection[int],
 
 
 def _ansatz_conditions(g: VectorField, cols_of: Dict[VarRef, List[int]],
-                       partial):
+                       partial, zeroed: Collection[int]):
     """The linear conditions g(y) = 0 on the ansatz coefficients: one sparse
     row per monomial of the images g(monomial), denominators cleared.  Only
-    the monomials involving a coordinate of g have nonzero images."""
+    the monomials involving a coordinate of g have nonzero images.  The
+    columns in `zeroed`, whose unit rows lie in the span, are left out:
+    that changes each row by a combination of those unit rows."""
     images: Dict[int, Expr] = {}
     for v, e in g.coeffs.items():
         for col in cols_of.get(v, ()):
-            images[col] = images.get(col, Expr.zero()) + e * partial(col, v)
+            if col not in zeroed:
+                images[col] = images.get(col, Expr.zero()) + \
+                    e * partial(col, v)
     dens = []
     for e in images.values():
         if not pis_one(e.den) and e.den not in dens:

@@ -988,6 +988,7 @@ class Distribution:
                           if ech.rank == self.sampled_rank]
         self._involutive: Optional[tuple] = None
         self._coordinate_failures: Dict[VarRef, Optional[tuple]] = {}
+        self._variables: Optional[frozenset] = None
         # with every prefix echelon at top rank, a bracket the prefix's sweep
         # passed reduced to zero at each of its points (it has no pole where
         # its fields have none), so it does at their extensions: the sweeps
@@ -1103,6 +1104,15 @@ class Distribution:
             fail = next(bracket_failures(pairs, self.contains, bracket), None)
             self._involutive = (fail is None, fail)
         return self._involutive
+
+    def variables(self) -> frozenset:
+        """The variables of the generators' coefficients, trig atoms by their
+        bases: d/dc brackets every generator to zero for a coordinate c not
+        among them, so `coordinate_failure` of c is None."""
+        if self._variables is None:
+            self._variables = frozenset().union(
+                *(g.variables() for g in self.generators))
+        return self._variables
 
     def coordinate_failure(self, c: VarRef, bracket=None) -> Optional[tuple]:
         """The first (d/dc, g, [d/dc, g]) over the generators g, in order,

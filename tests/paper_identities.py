@@ -7,7 +7,8 @@ comparison with the unprolonged brackets) so that the tests can check the
 filtrations that `flatcheck` computes against them.  They also hold the
 reported sigma values of one step of the recursion, the membership and
 involutivity of a coordinate span, the sigma search's former survivor
-sweep, which re-checks every earlier k, the former fraction-free
+sweep, which re-checks every earlier k, the former sigma step over every
+tuple of the box, the former fraction-free
 elimination over Q, which the elimination over Z[x] must agree with,
 the former nullspace of a row echelon form by back-substitution, the
 former eager flat-output ansatz and search, and the former base-point
@@ -17,13 +18,14 @@ rendered, parsed back through the system DSL and evaluated.
 
 import itertools
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from flatcheck.expr import (UDERIV, Expr, Poly, VarRef, mono_from, pconst,
                             pdivexact, pmul, psub)
 from flatcheck.flatness import (Budgets, Context, Initialization,
                                 NotLinearizable, SigmaRun, _ansatz_monomials,
-                                _box_limit, _embed, _gradient_field,
+                                _box_limit, _cap, _cmin, _embed,
+                                _gradient_field, _smallest,
                                 _mono_expr, _normalize_output,
                                 brunovsky_indices)
 from flatcheck.jetgeom import (FP, CoordinateSpan, Distribution, JetSpace,
@@ -263,6 +265,19 @@ def _sigma_step(sysdef, init, k, box_limit, ctx) -> SigmaStep:
     return run.steps[k]
 
 
+def box_tuples(width: int, box: int) -> List[Tuple[int, ...]]:
+    """Every tuple of the box [1..box]^width, in increasing order."""
+    return list(itertools.product(range(1, box + 1), repeat=width))
+
+
+def block_tuples(corners, k: int, box: int) -> List[Tuple[int, ...]]:
+    """The sorted tuples of the box in the blocks with these corners, as
+    step k of `SigmaRun` keeps them: l_p = lo_p where lo_p <= k, and
+    lo_p <= l_p <= box elsewhere."""
+    return sorted(t for lo in corners for t in itertools.product(
+        *[(v,) if v <= k else range(v, box + 1) for v in lo]))
+
+
 def all_k_survivors(run: SigmaRun, box: int,
                     upto_k: int) -> List[Tuple[int, ...]]:
     """The tuples of the box that satisfy both conditions at every step
@@ -275,8 +290,58 @@ def all_k_survivors(run: SigmaRun, box: int,
         return ctx.delta_involutive(_embed(init, m, capped), k)[0] and \
             ctx.gamma_invariant(_embed(init, m, t), k)[0]
 
-    return [t for t in run._tuples(box)
+    return [t for t in box_tuples(run.width, box)
             if all(both(t, k) for k in range(1, upto_k + 1))]
+
+
+def box_sigma_step(self, k: int, box: int):
+    """Evaluate both conditions on the box at k, record the SigmaStep and
+    return (s_delta, sorted survivors of every step up to k)."""
+    tuples = self._tuples(box)
+    ok_d = self._satisfying(self.ctx.delta_involutive, k, k + 1)
+    ok_g = self._satisfying(self.ctx.gamma_invariant, k, 2 * k)
+    s_delta = {t for t in tuples if _cap(t, k + 1) in ok_d}
+    s_gamma = {t for t in tuples if _cap(t, 2 * k) in ok_g}
+    prior = {t for t in tuples if _cap(t, 2 * k - 2) in self._survivors}
+    surv = sorted(prior & s_delta & s_gamma)
+    self._survivors = set(surv)
+    # reported sigma: literal componentwise min, masked to 0 when the
+    # condition eliminates nothing that everything else allows
+    lit_d = _cmin(s_delta, self.width)
+    lit_g = _cmin(s_gamma, self.width)
+    rep_d = (0,) * self.width if (prior & s_gamma) <= s_delta else lit_d
+    rep_g = (0,) * self.width if (prior & s_delta) <= s_gamma else lit_g
+    witness = None
+    if surv:
+        w = _smallest(surv)
+        witness = {self.ctx.sysdef.input_names[c - 1]: v
+                   for c, v in zip(self.channels, w)}
+    self.steps.append(SigmaStep(k, rep_d, rep_g, witness, box))
+    return s_delta, surv
+
+
+class BoxSigmaRun(SigmaRun):
+    """The sigma recursion with the former step, `box_sigma_step`: each
+    condition asked of every capped tuple of the box, and the survivors
+    kept as the tuples themselves.  A tuple l survived steps 1..k-1 iff
+    cap(l, 2k-2) survived step k-1."""
+
+    def __init__(self, ctx: Context, init: Initialization):
+        super().__init__(ctx, init)
+        # every tuple survives step 0, and cap(l, 2*1 - 2) is all zeros
+        self._survivors: Set[Tuple[int, ...]] = {(0,) * self.width}
+
+    def _tuples(self, box: int) -> List[Tuple[int, ...]]:
+        return box_tuples(self.width, box)
+
+    def _satisfying(self, check, k: int, cap: int) -> Set[Tuple[int, ...]]:
+        return {c for c in self._tuples(cap)
+                if check(_embed(self.init, self.m, c), k)[0]}
+
+    step = box_sigma_step
+
+    def _covers(self, surv, t, k) -> bool:
+        return t in surv
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,9 @@ def test_coefficients_are_exact_and_key_as_all_fractions():
     def check(e):
         for q in _coefficients(e):
             assert type(q) in (int, Fraction)
+            # an integral coefficient is an int
+            assert type(q) is int or q.denominator != 1
+        assert e._q == any(type(q) is Fraction for q in _coefficients(e))
         f = _all_fractions(e)
         assert f._key == e._key and hash(f) == hash(e) and f == e
         assert render_expr(f) == render_expr(e)
@@ -349,6 +352,21 @@ def test_integral_quotients_are_ints():
     assert type((x1 / x2).eval_at({X1: 6, X2: 3})) is int
     assert (x1 / x2).eval_at({X1: 1, X2: 3}) == Fraction(1, 3)
     assert type(QQ.monic({0: 2, 1: 4}, 0)[1]) is int
+
+
+def test_integral_fraction_results_are_ints():
+    # 1/2 * 2 is integral: the product of the two factors has the int
+    # coefficient 1, and so do sums and derivatives with integral results
+    sysdef = parse_system("system halves\nstate x y\ninput u\n"
+                          "dot x = x/2*(2*y)\ndot y = u\n")
+    f = sysdef.f[0]
+    assert render_expr(f) == "x*y" and not f._q
+    assert all(type(q) is int for q in _coefficients(f))
+    half = x1 * rational(1, 2)
+    assert half._q and not (half + half)._q and not (x1 * half).diff(X1)._q
+    for e in (half + half, half * rational(4), (x1 * half).diff(X1),
+              (half - x2 * rational(1, 3)) * rational(6)):
+        assert all(type(q) is int for q in _coefficients(e)), e
 
 
 def _analysis_coefficients(sysdef, monkeypatch):

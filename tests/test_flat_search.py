@@ -99,13 +99,18 @@ def test_search_equals_the_eager_chain_search(name, sysdef, j):
 
 
 def _counted(monkeypatch):
-    counts = {"q_inserts": 0, "diffs": 0}
+    # Q inserts, the unit rows {col: 1} among them that were already in
+    # the span, and derivatives taken
+    counts = {"q_inserts": 0, "dependent_units": 0, "diffs": 0}
     insert, diff = PointEchelon.insert, Expr.diff
 
     def counting_insert(self, row):
+        added = insert(self, row)
         if self.field is QQ:
             counts["q_inserts"] += 1
-        return insert(self, row)
+            counts["dependent_units"] += not added and \
+                list(row.values()) == [QQ.one]
+        return added
 
     def counting_diff(self, v):
         counts["diffs"] += 1
@@ -123,13 +128,16 @@ def test_dropped_letters_cut_the_ansatz_work_on_chained_5_3(monkeypatch):
     assert kappas == (12, 5)
     counts = _counted(monkeypatch)
     pi.eager_nullspace_pools(ps, kappas, 2)
-    assert counts == {"q_inserts": 410, "diffs": 306}
-    counts.update(q_inserts=0, diffs=0)
+    assert counts == {"q_inserts": 410, "dependent_units": 59, "diffs": 306}
+    counts.update(q_inserts=0, dependent_units=0, diffs=0)
     pools = _nullspace_pools(ps, kappas, 2)
-    assert counts == {"q_inserts": 231, "diffs": 65}
+    # no unit row is inserted twice or after the span holds it, and no
+    # image is built at a column a unit row has zeroed
+    want = {"q_inserts": 89, "dependent_units": 0, "diffs": 53}
+    assert counts == want
     # building the outputs takes neither
     assert [len(list(pools[k])) for k in (12, 5)] == [2, 45]
-    assert counts == {"q_inserts": 231, "diffs": 65}
+    assert counts == want
 
 
 @pytest.mark.parametrize("text", [UNICYCLE] + list(TRIG_TEXTS.values()),

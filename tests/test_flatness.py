@@ -23,7 +23,8 @@ from flatcheck.sysdsl import parse_system
 
 from conftest import (DRIFTLESS_PLUS_Z, DRIFTLESS_PLUS_Z2, ROOT, load_fixture,
                       load_workloads, widened_fixture)
-from paper_identities import (all_k_survivors, eval_row, sigma_delta,
+from paper_identities import (BoxSigmaRun, all_k_survivors, block_tuples,
+                              box_tuples, eval_row, sigma_delta,
                               sigma_gamma_delta)
 
 
@@ -405,7 +406,8 @@ def test_checks_read_only_the_capped_tuple(chained, driftless, clm, pendulum,
 def test_prior_survivors_are_the_capped_survivors_of_the_last_step(
         chained, driftless, clm, pendulum, threeinput):
     # l survived steps 1..k-1 iff cap(l, 2k-2) survived step k-1, both with
-    # the default boxes and with a user box that steps 1-3 share
+    # the default boxes and with a user box that steps 1-3 share; a step's
+    # survivors are read as the box tuples of their blocks
     systems = (chained, driftless, clm, pendulum, threeinput,
                widened_fixture("driftless", 2))
     checked = widened = 0
@@ -421,19 +423,134 @@ def test_prior_survivors_are_the_capped_survivors_of_the_last_step(
                     where = (sysdef.name, budgets.max_prolong, init, k)
                     if k >= 2:
                         widened += box > 2 * k + 1
-                        prior = {t for t in run._tuples(box)
+                        prior = {t for t in box_tuples(run.width, box)
                                  if flatness._cap(t, 2 * k - 2) in last[-1]}
                         assert prior == set(
                             all_k_survivors(run, box, k - 1)), where
-                    s_delta, surv = step(k, box)
-                    assert surv == sorted(all_k_survivors(run, box, k)), where
-                    last.append(set(surv))
+                        assert prior == set(block_tuples(
+                            run._survivors, k - 1, box)), where
+                    found, surv = step(k, box)
+                    tuples = block_tuples(surv, k, box)
+                    assert tuples == sorted(all_k_survivors(run, box, k)), \
+                        where
+                    last.append(set(tuples))
                     checked += 1
-                    return s_delta, surv
+                    return found, surv
 
                 run.step = checked_step
                 run.run()
     assert checked > 0 and widened > 0
+
+
+def _oracle_systems():
+    """The five fixtures, the generated benchmark systems and driftless
+    plus three decoupled integrators."""
+    wl = load_workloads()
+    systems = [load_fixture(name + ".flt") for name in wl.FIXTURES]
+    for workload in ("deep_chains", "wide_inputs"):
+        systems += [parse_system(text) for name, text in
+                    wl.workload(workload, str(ROOT)) if name not in wl.FIXTURES]
+    return systems + [widened_fixture("driftless", 3)]
+
+
+def _logged(run: SigmaRun, expand: bool) -> list:
+    """Wrap run.step to log (k, box, a tuple satisfies Delta_k, the
+    survivors as box tuples) per step."""
+    log, step = [], run.step
+
+    def logged(k, box):
+        found, surv = step(k, box)
+        tuples = block_tuples(surv, k, box) if expand else surv
+        log.append((k, box, bool(found), tuples))
+        return found, surv
+
+    run.step = logged
+    return log
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_capped_class_steps_equal_the_box_steps(seed):
+    # each run to its own end, without the pruning of analyze, next to the
+    # former step that asks both conditions of every capped tuple of the box
+    systems = _oracle_systems()
+    assert len(systems) == 12
+    runs = 0
+    for budgets in (Budgets(seed=seed), Budgets(seed=seed, max_prolong=7)):
+        for sysdef in systems:
+            ctx = Context(sysdef, budgets)
+            for init in enumerate_initializations(ctx):
+                if init.variant != "standard":
+                    continue
+                where = (sysdef.name, budgets.max_prolong, init.kept)
+                new, old = SigmaRun(ctx, init), BoxSigmaRun(ctx, init)
+                logs = _logged(new, True), _logged(old, False)
+                for run in (new, old):
+                    run.run()
+                assert new.steps == old.steps, where
+                assert logs[0] == logs[1], where
+                assert (new.outcome, new.candidate, new.last_bound,
+                        new.failure_k, new.failure_note, new.witnesses) == \
+                    (old.outcome, old.candidate, old.last_bound,
+                     old.failure_k, old.failure_note, old.witnesses), where
+                runs += 1
+    assert runs > 100
+
+
+def _counting(monkeypatch):
+    """Count Distribution.coordinate_failure calls and misses of its
+    per-coordinate memo, and record each analysis's Context."""
+    counts = {"calls": 0, "misses": 0, "contexts": []}
+    failure = jetgeom.Distribution.coordinate_failure
+
+    def counted(dist, c, bracket=None):
+        counts["calls"] += 1
+        counts["misses"] += c not in dist._coordinate_failures
+        return failure(dist, c, bracket)
+
+    class Recorded(Context):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts["contexts"].append(self)
+
+    monkeypatch.setattr(jetgeom.Distribution, "coordinate_failure", counted)
+    monkeypatch.setattr(flatness, "Context", Recorded)
+    return counts
+
+
+@pytest.mark.parametrize("name, calls, homes", [
+    ("driftless_plus3", 2108, 574), ("chained_5_3", 597, 89)])
+def test_sigma_steps_ask_few_gamma_coordinates_and_homes(monkeypatch, name,
+                                                         calls, homes):
+    # the box step made 78634 coordinate_failure calls (from 14650
+    # gamma_invariant calls) and built 628 homes on driftless_plus3, and
+    # 1594 calls and 135 homes on chained_5_3
+    wl = load_workloads()
+    text = dict(wl.workload("deep_chains", str(ROOT)) +
+                [("driftless_plus3", wl.widened_text(
+                    wl.fixture_text(str(ROOT), "driftless"), 3))])[name]
+    counts = _counting(monkeypatch)
+    analyze(parse_system(text), Budgets(seed=0))
+    assert (counts["calls"], len(counts["contexts"][0]._homes)) == \
+        (calls, homes)
+
+
+def test_sigma_steps_sweep_no_gamma_coordinate_the_box_steps_did_not(
+        monkeypatch):
+    # first-time sweeps of the per-home memo, per benchmark system at seed 0
+    wl = load_workloads()
+    texts = dict(text for workload in wl.NAMES
+                 for text in wl.workload(workload, str(ROOT)))
+    counts = _counting(monkeypatch)
+    for name, text in texts.items():
+        sysdef = parse_system(text)
+        misses = []
+        for run in (SigmaRun, BoxSigmaRun):
+            monkeypatch.setattr(flatness, "SigmaRun", run)
+            counts["misses"] = 0
+            rep = analyze(sysdef, Budgets(seed=0))
+            misses.append((counts["misses"], rep.to_json_dict()))
+        assert misses[0][1] == misses[1][1], name
+        assert misses[0][0] <= misses[1][0], name
 
 
 def test_cns_check_after_analyze_matches_a_fresh_context(chained, driftless,

@@ -15,8 +15,9 @@ from flatcheck.flatness import Budgets, Context
 from flatcheck.sysdsl import SystemDef, parse_system
 
 from conftest import DRIFTLESS_PLUS_Z, ROOT, load_workloads, random_system
-from paper_identities import (DomainError, PreconditionNotMet, ad_top,
-                              bracket_comparison_check, decomposition_check,
+from paper_identities import (BoxSigmaRun, DomainError, PreconditionNotMet,
+                              ad_top, bracket_comparison_check,
+                              decomposition_check,
                               gamma_field, gamma_rank_formula, gamma_sequence,
                               lift_field, span_contains, span_is_involutive)
 from propsuites import (suite_decomposition, suite_gamma_recursion,
@@ -269,8 +270,10 @@ FIXTURE_J_MIN = {"chained": (4, 0), "driftless": (2, 0), "clm": (0, 3),
 
 
 def _analysis_contexts(sysdef, seed, monkeypatch):
-    """The Contexts of one analyze and of one cns_check at the fixture's
-    j_min on a fresh Context, each with every home it built."""
+    """The Contexts of one analyze, of one analyze with the former sigma
+    step, which builds the home of every class of the box, and of one
+    cns_check at the fixture's j_min on a fresh Context, each with every
+    home it built."""
     from flatcheck import flatness
     made = []
     orig = flatness.Context.__init__
@@ -281,6 +284,9 @@ def _analysis_contexts(sysdef, seed, monkeypatch):
 
     monkeypatch.setattr(flatness.Context, "__init__", recorded)
     flatness.analyze(sysdef, Budgets(seed=seed))
+    with monkeypatch.context() as patch:
+        patch.setattr(flatness, "SigmaRun", BoxSigmaRun)
+        flatness.analyze(sysdef, Budgets(seed=seed))
     if sysdef.name in FIXTURE_J_MIN:
         flatness.cns_check(sysdef, FIXTURE_J_MIN[sysdef.name], seed=seed)
     monkeypatch.setattr(flatness.Context, "__init__", orig)
