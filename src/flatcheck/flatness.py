@@ -59,58 +59,34 @@ class Budgets:
 # ---------------------------------------------------------------------------
 # Analysis context: shared caches, deterministic under a fixed seed
 
-class Context:
-    """Shared caches of one analysis.  Both sigma-search conditions on
-    Delta_k^(j) are answered by one `Distribution` per generator list, its
-    home, built without a prolonged system:
+class ChainLinks:
+    """The chain links ad_{g0}^r d/du_p^(0) of one system, for every
+    prolongation, each with an id, with the bracket memo and the capped jet
+    spaces they live on.  It holds no reference to the `Context` that owns
+    it, so the prolonged systems of that Context may keep it (`ps`).
 
-    - The chain links ad_{g0}^r d/du_p^(0) come from one store, each with an
-      id.  Link r has the id of the bracket of link r - 1 with the drift
-      terms u_q^(t+1) d/du_q^(t) of X^(j) at the coordinates u_q^(t) that
-      link r - 1's coefficients involve.  This is exact: [g0, L] reads g0
-      only there and at f d/dx, when L points in x-directions or is
-      d/du_p^(0).  Each link is bracketed once, through `bracket`, and links
-      with equal coefficients share an id.
-    - Delta_k^(j) has the generators of Delta_k^(cap(j, k+1)) (see
-      `gamma_invariant`), so its home is keyed by that list of link ids and
-      lives on X^(cap(j, k+1)).  Involutivity of span{gens}, and whether
-      [d/dc, V] = dV/dc lies in it, depend only on the generators'
-      coefficients, so a failure may hold fields of another prolongation's
-      jet space; it is only rendered.
-    - Every home, every distribution of a prolonged system from `ps`, and
-      the H_1 of each initialization sample at the shared `points`, so a
-      field's row at a point is evaluated once per analysis."""
+    Link r has the id of the bracket of link r - 1 with the drift terms
+    u_q^(t+1) d/du_q^(t) of X^(j) at the coordinates u_q^(t) that link
+    r - 1's coefficients involve.  This is exact: [g0, L] reads g0 only
+    there and at f d/dx, when L points in x-directions or is d/du_p^(0).
+    Each link is bracketed once, through `bracket`, and links with equal
+    coefficients share an id."""
 
-    def __init__(self, sysdef: SystemDef, budgets: Budgets):
+    def __init__(self, sysdef: SystemDef):
         self.sysdef = sysdef
-        self.budgets = budgets
-        self.base_point = sysdef.base_point().resolved()
-        self.points = SamplePoints(budgets.seed)
-        self._ps: Dict[Tuple[int, ...], ProlongedSystem] = {}
         self._spaces: Dict[Tuple[int, ...], JetSpace] = {}
+        self._brackets: Dict[tuple, VectorField] = {}
         # chain links by id, with the (q, t) of the u_q^(t) they involve
         self._links: List[VectorField] = []
         self._link_us: List[Tuple[Tuple[int, int], ...]] = []
         self._link_ids: Dict[tuple, int] = {}
         # (link id, drift terms (q, t) it meets) -> id of the next link
         self._link_next: Dict[tuple, int] = {}
-        self._delta: Dict[Tuple[Tuple[int, ...], int], Distribution] = {}
-        self._homes: Dict[Tuple[int, ...], Distribution] = {}
-        self._brackets: Dict[tuple, VectorField] = {}
-        self._gamma_low: Dict[Tuple[int, int, int], List[VarRef]] = {}
-        self.warnings: List[str] = []
+        # (p, r, cap(j, r - 1)) -> the ids `links` returns
+        self._chains: Dict[tuple, Tuple[int, ...]] = {}
         x0 = self.space((0,) * sysdef.m)
         self._unit_links = [self._link_id(unit_field(x0, sysdef.input(p, 0)))
                             for p in range(1, sysdef.m + 1)]
-
-    def ps(self, j) -> ProlongedSystem:
-        key = tuple(j)
-        if key not in self._ps:
-            self._ps[key] = build_prolonged(
-                self.sysdef, MultiIndex(j), seed=self.budgets.seed,
-                samples=self.budgets.samples, base_point=self.base_point,
-                points=self.points)
-        return self._ps[key]
 
     def space(self, j: Tuple[int, ...]) -> JetSpace:
         if j not in self._spaces:
@@ -140,26 +116,77 @@ class Context:
                  for v in e.free_base_vars() if v.kind == UDERIV})))
         return lid
 
-    def links(self, p: int, r: int, j: Tuple[int, ...]) -> List[int]:
-        """The ids of ad_{g0}^s d/du_p^(0) on X^(j), s = 0..r."""
-        sysdef = self.sysdef
-        lid = self._unit_links[p - 1]
-        out = [lid]
-        for s in range(1, r + 1):
+    def links(self, p: int, r: int, j: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The ids of ad_{g0}^s d/du_p^(0) on X^(j), s = 0..r, memoized on
+        (p, r, cap(j, r - 1)).  This is exact: link s involves u_q^(t) only
+        for t <= s - 1, so the links up to r meet the drift terms at
+        u_q^(t), t <= r - 2, which X^(j) has iff t < min(j_q, r - 1)."""
+        if r == 0:
+            return (self._unit_links[p - 1],)
+        key = (p, r, _cap(j, r - 1))
+        out = self._chains.get(key)
+        if out is None:
+            out = self.links(p, r - 1, j)
+            lid = out[-1]
             drift = tuple(qt for qt in self._link_us[lid] if qt[1] < j[qt[0] - 1])
-            key = (lid, drift)
-            nxt = self._link_next.get(key)
+            nxt = self._link_next.get((lid, drift))
             if nxt is None:
-                space = self.space(_cap(j, s))
+                sysdef, space = self.sysdef, self.space(_cap(j, r))
                 coeffs = {sysdef.state(i): f_i
                           for i, f_i in enumerate(sysdef.f, start=1)}
                 for q, t in drift:
                     coeffs[sysdef.input(q, t)] = Expr.var(sysdef.input(q, t + 1))
-                nxt = self._link_next[key] = self._link_id(self.bracket(
+                nxt = self._link_next[lid, drift] = self._link_id(self.bracket(
                     VectorField(space, coeffs), self._links[lid].on(space)))
-            lid = nxt
-            out.append(lid)
+            out = self._chains[key] = out + (nxt,)
         return out
+
+    def link(self, p: int, r: int, j: Tuple[int, ...]) -> VectorField:
+        """ad_{g0}^r d/du_p^(0) on X^(j), on the space it was built on."""
+        return self._links[self.links(p, r, j)[-1]]
+
+
+class Context:
+    """Shared caches of one analysis.  Both sigma-search conditions on
+    Delta_k^(j) are answered by one `Distribution` per generator list, its
+    home, built without a prolonged system:
+
+    - The chain links come from one `ChainLinks` store, which also serves
+      the G levels of every prolonged system from `ps`.
+    - Delta_k^(j) has the generators of Delta_k^(cap(j, k+1)) (see
+      `gamma_invariant`), so its home is keyed by that list of link ids and
+      lives on X^(cap(j, k+1)).  Involutivity of span{gens}, and whether
+      [d/dc, V] = dV/dc lies in it, depend only on the generators'
+      coefficients, so a failure may hold fields of another prolongation's
+      jet space; it is only rendered.
+    - Every home, every distribution of a prolonged system from `ps`, and
+      the H_1 of each initialization sample at the shared `points`, so a
+      field's row at a point is evaluated once per analysis."""
+
+    def __init__(self, sysdef: SystemDef, budgets: Budgets):
+        self.sysdef = sysdef
+        self.budgets = budgets
+        self.base_point = sysdef.base_point().resolved()
+        self.points = SamplePoints(budgets.seed)
+        self.chain_links = store = ChainLinks(sysdef)
+        self.space, self.bracket, self.links = \
+            store.space, store.bracket, store.links
+        self._links, self._link_next, self._brackets = \
+            store._links, store._link_next, store._brackets
+        self._ps: Dict[Tuple[int, ...], ProlongedSystem] = {}
+        self._delta: Dict[Tuple[Tuple[int, ...], int], Distribution] = {}
+        self._homes: Dict[Tuple[int, ...], Distribution] = {}
+        self._gamma_low: Dict[Tuple[int, int, int], List[VarRef]] = {}
+        self.warnings: List[str] = []
+
+    def ps(self, j) -> ProlongedSystem:
+        key = tuple(j)
+        if key not in self._ps:
+            self._ps[key] = build_prolonged(
+                self.sysdef, MultiIndex(j), seed=self.budgets.seed,
+                samples=self.budgets.samples, base_point=self.base_point,
+                points=self.points, links=self.chain_links)
+        return self._ps[key]
 
     def home(self, j: Tuple[int, ...], k: int) -> Distribution:
         """The home Delta_k `Distribution` of the generator list of
@@ -1129,6 +1156,11 @@ def _flat_report(ctx: Context, j: MultiIndex, res: CnsResult,
     if not res.cross_check_agrees:
         ctx.warnings.append("Prop. 4.1 cross-check disagreed with the "
                             "Delta/Gamma conditions")
+    for name, cert in res.certificates:
+        if cert.symbolic_rank not in (None, cert.sampled_rank):
+            ctx.warnings.append(
+                "exact rank of %s (%d) differs from the sampled rank (%d)"
+                % (name, cert.symbolic_rank, cert.sampled_rank))
     ps = ctx.ps(tuple(j))
     _, k_star = g_stabilization(ps)
     kappa = brunovsky_indices(ps)

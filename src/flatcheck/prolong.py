@@ -23,11 +23,13 @@ def build_space(sysdef: SystemDef, j: MultiIndex) -> JetSpace:
 class ProlongedSystem:
     """System prolonged by j: drift g0 = f d/dx + sum u_i^(k+1) d/du_i^(k)
     (k < j_i) and input fields g_i = d/du_i^(j_i).  Its distributions
-    sample at `points` (a `SamplePoints` of its own by default)."""
+    sample at `points` (a `SamplePoints` of its own by default), and its
+    chain links come from `links`, an analysis's `flatness.ChainLinks`, or
+    from a chain of its own."""
 
     def __init__(self, sysdef: SystemDef, j: MultiIndex, seed: int = 0,
                  samples: int = 5, base_point=None,
-                 points: Optional[SamplePoints] = None):
+                 points: Optional[SamplePoints] = None, links=None):
         if len(j) != sysdef.m:
             raise ValueError("prolongation order needs one component per input")
         self.sysdef = sysdef
@@ -37,6 +39,7 @@ class ProlongedSystem:
         self.space = build_space(sysdef, self.j)
         self.base_point = base_point
         self.points = points if points is not None else SamplePoints(seed)
+        self.links = links
         coeffs: Dict[VarRef, Expr] = {}
         for i, f_i in enumerate(sysdef.f, start=1):
             coeffs[sysdef.state(i)] = f_i
@@ -60,8 +63,9 @@ class ProlongedSystem:
         """ad_{g0}^r d/du_p^(0).  By induction on r: for r >= 1 it points
         only in x-directions and its coefficients involve only x and u_q^(s)
         with s <= r - 1, so it has the coefficients it has on X^(cap(j, r)),
-        cap(j, r) = min(j, r) per channel (an analysis `Context` keeps one
-        store of these links for all prolongations)."""
+        cap(j, r) = min(j, r) per channel, and `links` serves it."""
+        if self.links is not None:
+            return self.links.link(p, r, self.j).on(self.space)
         chain = self._ad_u0.get(p)
         if chain is None:
             chain = self._ad_u0[p] = [unit_field(self.space,
@@ -79,22 +83,28 @@ class ProlongedSystem:
 
 
 def build_prolonged(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
-                    base_point=None, points=None) -> ProlongedSystem:
+                    base_point=None, points=None, links=None) -> ProlongedSystem:
     return ProlongedSystem(sysdef, MultiIndex(j), seed=seed, samples=samples,
-                           base_point=base_point, points=points)
+                           base_point=base_point, points=points, links=links)
 
 
 # ---------------------------------------------------------------------------
 # Filtrations
 
 def g_level_fields(ps: ProlongedSystem, k: int) -> List[VectorField]:
-    """New generators at bracket depth k: ad_{g0}^k g_i, i = 1..m."""
+    """New generators at bracket depth k: ad_{g0}^k g_i, i = 1..m, read off
+    the chain links.  The drift involves u_i^(s), s >= 1, only in
+    u_i^(s) d/du_i^(s-1), so ad_{g0} d/du_i^(s) = -d/du_i^(s-1): level r
+    is (-1)^r d/du_i^(j_i - r) for r <= j_i, and (-1)^{j_i} ad_u0(i,
+    r - j_i) beyond."""
     while len(ps._g_levels) <= k:
-        if not ps._g_levels:
-            ps._g_levels.append(list(ps.gi))
-        else:
-            ps._g_levels.append([lie_bracket(ps.g0, v)
-                                 for v in ps._g_levels[-1]])
+        r = len(ps._g_levels)
+        level = []
+        for i, ji in enumerate(ps.j, start=1):
+            g = unit_field(ps.space, ps.sysdef.input(i, ji - r)) if r <= ji \
+                else ps.ad_u0(i, r - ji)
+            level.append(-g if min(r, ji) % 2 else g)
+        ps._g_levels.append(level)
     return ps._g_levels[k]
 
 
@@ -135,14 +145,15 @@ def delta_filtration(ps: ProlongedSystem, k: int) -> Distribution:
 
 def g_stabilization(ps: ProlongedSystem):
     """Ranks of G_0..G_{k_star} and the first k <= n + |j| with rank G_k =
-    rank G_{k+1}."""
+    rank G_{k+1}.  A G_k's sampled rank that reaches min(#generators, dim)
+    is its rank, as no sampled rank exceeds the generic rank (see
+    `generic_rank`); only the others are certified."""
     cap = ps.sysdef.n + ps.j.total
-    ranks = [g_filtration(ps, 0).rank]
-    k = 0
-    while k < cap:
-        nxt = g_filtration(ps, k + 1).rank
-        if nxt == ranks[-1]:
-            return ranks, k
-        ranks.append(nxt)
-        k += 1
-    return ranks, k
+    ranks: List[int] = []
+    for k in range(cap + 1):
+        dist = g_filtration(ps, k)
+        bound = min(len(dist.generators), ps.space.dim)
+        ranks.append(bound if dist.sampled_rank == bound else dist.rank)
+        if k and ranks[-1] == ranks[-2]:
+            return ranks[:-1], k - 1
+    return ranks, cap

@@ -351,6 +351,79 @@ def test_sigma_conditions_run_no_symbolic_elimination(chained, monkeypatch):
     assert len(calls) == 1
 
 
+def _counted_eliminations(monkeypatch):
+    calls = []
+    real = jetgeom.symbolic_rank
+
+    def counted(fields, space):
+        calls.append(space.dim)
+        return real(fields, space)
+
+    monkeypatch.setattr(jetgeom, "symbolic_rank", counted)
+    return calls
+
+
+def test_the_static_test_on_deep_chains_eliminates_nothing(monkeypatch):
+    # every G_k^(0) of the three chained systems reaches min(#generators,
+    # dim) at a sample point, which proves its rank
+    calls = _counted_eliminations(monkeypatch)
+    for _, text in load_workloads().workload("deep_chains", str(ROOT)):
+        static_linearizable(parse_system(text))
+    assert calls == []
+
+
+def test_an_exact_rank_apart_from_the_sampled_rank_is_a_warning(
+        driftless, monkeypatch):
+    # an elimination of one generator that reports rank 0 stands in for an
+    # exact rank that differs from the sampled one: here Delta_0 at j_min,
+    # d/du2 alone, whose rank the verdict does not read
+    real = jetgeom.symbolic_rank
+
+    def low(fields, space):
+        out = real(fields, space)
+        if len(fields) == 1:
+            out = jetgeom.Elimination(out[0] - 1, out[1], out.space,
+                                      out.steps, out.packing, out.degree)
+        return out
+
+    monkeypatch.setattr(jetgeom, "symbolic_rank", low)
+    rep = analyze(driftless, Budgets(seed=0))
+    assert (rep.verdict, rep.j_min) == ("p2_flat", (2, 0))
+    mismatches = [w for w in rep.warnings if w.startswith("exact rank")]
+    assert mismatches == [
+        "exact rank of Delta_0 (0) differs from the sampled rank (1)"]
+
+
+def test_analyze_leaves_no_context_alive(monkeypatch):
+    # nothing an analysis keeps refers back to its Context, so each one is
+    # freed by reference counting alone when analyze returns
+    import gc
+    import weakref
+
+    alive = []
+
+    class Recorded(Context):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(flatness, "Context", Recorded)
+    wl = load_workloads()
+    systems = {s.name: s for w in wl.NAMES
+               for s in map(parse_system, (t for _, t in wl.workload(
+                   w, str(ROOT))))}
+    assert len(systems) == 11
+    gc.collect()
+    gc.disable()
+    try:
+        for name, sysdef in sorted(systems.items()):
+            analyze(sysdef, Budgets(seed=0))
+            assert alive[-1]() is None, name
+    finally:
+        gc.enable()
+    assert len(alive) == 11
+
+
 # -- the link store, homes on capped spaces, carried survivors -----------------
 
 def _five_and_z2(chained, driftless, clm, pendulum, threeinput):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -466,6 +467,12 @@ def test_chain_links_equal_their_cap_j_r_links(chained, driftless, clm,
             capped = tuple(min(jq, r) for jq in j)
             assert ps(j).ad_u0(p, r).key() == ps(capped).ad_u0(p, r).key(), \
                 (sysdef.name, j, p, r)
+            # links 0..r meet drift terms only at u_q^(t), t <= r - 2, so
+            # they are those of X^(cap(j, r - 1)) too, which is what the
+            # Context's memo of `links` keys on
+            below = tuple(min(jq, max(r - 1, 0)) for jq in j)
+            assert ps(j).ad_u0(p, r).key() == ps(below).ad_u0(p, r).key(), \
+                (sysdef.name, j, p, r)
 
 
 def test_context_brackets_each_chain_link_once(chained, driftless, clm,
@@ -498,6 +505,102 @@ def test_context_brackets_each_chain_link_once(chained, driftless, clm,
             assert ctx._links[lid].key() == \
                 build_prolonged(sysdef, j).ad_u0(p, r).key(), \
                 (sysdef.name, j, p, r)
+
+
+def test_context_links_are_memoized_on_cap_j_r_minus_1(chained, driftless,
+                                                       clm, pendulum,
+                                                       threeinput):
+    # a second walk of a chain is one lookup, for every j with the same
+    # cap(j, r - 1), and brackets nothing
+    for sysdef in _link_systems(chained, driftless, clm, pendulum, threeinput):
+        ctx = Context(sysdef, Budgets())
+        box = _link_box(sysdef)
+        first = [ctx.links(p, r, j) for p, r, j in box]
+        made = len(ctx._brackets)
+        for (p, r, j), ids in zip(box, first):
+            below = tuple(min(jq, max(r - 1, 0)) for jq in j)
+            assert ctx.links(p, r, below) == ids, (sysdef.name, j, p, r)
+            if r:
+                assert ctx.links(p, r, below) is ids
+        assert len(ctx._brackets) == made, sysdef.name
+
+
+def _ad_pow_levels(ps, top):
+    return [[ad_pow(ps.g0, g, r).key() for g in ps.gi]
+            for r in range(top + 1)]
+
+
+def test_g_levels_equal_the_iterated_brackets(chained, driftless, clm,
+                                              pendulum, threeinput,
+                                              monkeypatch):
+    # level r of channel i is (-1)^r d/du_i^(j_i - r) up to r = j_i, then
+    # (-1)^j_i times chain link r - j_i: key for key ad_{g0}^r g_i, both on a
+    # system of a Context, which reads the links off its store and brackets
+    # nothing itself, and on a standalone one, which brackets its own chain
+    from flatcheck import prolong
+    own = []
+    real = prolong.lie_bracket
+
+    def counted(v, w):
+        own.append(v)
+        return real(v, w)
+
+    for sysdef in (chained, driftless, clm, pendulum, threeinput):
+        ctx = Context(sysdef, Budgets())
+        for j in itertools.product(range(0, 3), repeat=sysdef.m):
+            expected = _ad_pow_levels(build_prolonged(sysdef, j), 5)
+            for ps in (ctx.ps(j), build_prolonged(sysdef, j)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(prolong, "lie_bracket", counted)
+                    del own[:]
+                    levels = [g_level_fields(ps, r) for r in range(6)]
+                assert (ps.links is None) == bool(own), (sysdef.name, j)
+                assert [[g.key() for g in level] for level in levels] == \
+                    expected, (sysdef.name, j)
+                assert all(g.space is ps.space
+                           for level in levels for g in level)
+
+
+def _stabilization_systems(chained, driftless, clm, pendulum, threeinput):
+    """(system, j) for the five fixtures and the 6 generated benchmark
+    systems, at j = 0 and at the j_min of perfbench/expected.json."""
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    wl = load_workloads()
+    systems = {s.name: s for s in (chained, driftless, clm, pendulum,
+                                   threeinput)}
+    for w in ("deep_chains", "wide_inputs"):
+        for _, text in wl.workload(w, str(ROOT)):
+            sysdef = parse_system(text)
+            systems.setdefault(sysdef.name, sysdef)
+    assert len(systems) == 11
+    for name, sysdef in systems.items():
+        yield sysdef, (0,) * sysdef.m
+        if expected["systems"][name]["j_min"] is not None:
+            yield sysdef, tuple(expected["systems"][name]["j_min"])
+
+
+def test_sample_proven_g_ranks_equal_the_certified_rank(chained, driftless,
+                                                        clm, pendulum,
+                                                        threeinput):
+    # g_stabilization takes a G_k's sampled rank where it reaches
+    # min(#generators, dim), with no elimination for it; each rank so taken
+    # equals the rank of the exact elimination, at every dimension
+    taken = certified = 0
+    for sysdef, j in _stabilization_systems(chained, driftless, clm,
+                                            pendulum, threeinput):
+        ps = build_prolonged(sysdef, j)
+        ranks, _ = g_stabilization(ps)
+        for (_, k), dist in sorted(ps._dist_cache.items()):
+            bound = min(len(dist.generators), ps.space.dim)
+            if dist.sampled_rank != bound:
+                certified += ps.space.dim <= 12
+                assert (True in dist._certificates) == (ps.space.dim <= 12)
+                continue
+            taken += 1
+            assert True not in dist._certificates, (sysdef.name, j, k)
+            assert dist.certified(True).rank == bound, (sysdef.name, j, k)
+            assert ranks[k:k + 1] in ([], [bound])
+    assert (taken, certified) == (108, 6)
 
 
 # -- gamma sequence -----------------------------------------------------------
