@@ -36,11 +36,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-k", type=int, default=None)
         p.add_argument("--max-prolong", type=int, default=None)
         p.add_argument("--ansatz-degree", type=int, default=2)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--trace", action="store_true")
 
     pa = sub.add_parser("analyze", help="run the full prolongation analysis")
     common(pa)
+    pa.add_argument("--json", action="store_true")
+    pa.add_argument("--trace", action="store_true")
     pv = sub.add_parser("verify", help="verify the file's flatoutput candidates")
     common(pv)
     pv.add_argument("--prolong", type=str, default=None,

@@ -12,15 +12,16 @@ from functools import cmp_to_key, lru_cache
 from typing import (Collection, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
-from .expr import (UDERIV, Expr, Poly, VarRef, cos_var, mono_cmp, mono_from,
-                   pconst, peval, pis_one, primitive_scale, render_expr,
-                   render_poly, sin_var)
-from .jetgeom import (FP, QQ, SYMBOLIC_MAX_DIM, Distribution, JetSpace,
-                      MultiIndex, PointEchelon, RankCertificate, SamplePoints,
-                      VectorField, _factor_polys, _same_space,
-                      accumulate_factors, bracket_failures, generic_rank,
-                      lie_bracket, unit_field)
-from .prolong import (ProlongedSystem, build_prolonged, build_space,
+from .expr import (Expr, Poly, VarRef, cos_var, mono_cmp, mono_from, pconst,
+                   peval, pis_one, primitive_scale, render_expr, render_poly,
+                   sin_var)
+# lie_bracket is bound here, unused, so that a tracer that wraps each of
+# its bindings in the package (perfbench/selftest.py) finds this one too
+from .jetgeom import (FP, QQ, SYMBOLIC_MAX_DIM, Distribution, MultiIndex,
+                      PointEchelon, RankCertificate, SamplePoints, VectorField,
+                      _factor_polys, accumulate_factors, bracket_failures,
+                      generic_rank, lie_bracket, unit_field)
+from .prolong import (ChainLinks, ProlongedSystem, _cap, build_prolonged,
                       g_filtration, g_level_fields, g_stabilization,
                       gamma_coordinates)
 from .report import INF, AnalysisReport, InitTrace, SigmaStep
@@ -59,100 +60,13 @@ class Budgets:
 # ---------------------------------------------------------------------------
 # Analysis context: shared caches, deterministic under a fixed seed
 
-class ChainLinks:
-    """The chain links ad_{g0}^r d/du_p^(0) of one system, for every
-    prolongation, each with an id, with the bracket memo and the capped jet
-    spaces they live on.  It holds no reference to the `Context` that owns
-    it, so the prolonged systems of that Context may keep it (`ps`).
-
-    Link r has the id of the bracket of link r - 1 with the drift terms
-    u_q^(t+1) d/du_q^(t) of X^(j) at the coordinates u_q^(t) that link
-    r - 1's coefficients involve.  This is exact: [g0, L] reads g0 only
-    there and at f d/dx, when L points in x-directions or is d/du_p^(0).
-    Each link is bracketed once, through `bracket`, and links with equal
-    coefficients share an id."""
-
-    def __init__(self, sysdef: SystemDef):
-        self.sysdef = sysdef
-        self._spaces: Dict[Tuple[int, ...], JetSpace] = {}
-        self._brackets: Dict[tuple, VectorField] = {}
-        # chain links by id, with the (q, t) of the u_q^(t) they involve
-        self._links: List[VectorField] = []
-        self._link_us: List[Tuple[Tuple[int, int], ...]] = []
-        self._link_ids: Dict[tuple, int] = {}
-        # (link id, drift terms (q, t) it meets) -> id of the next link
-        self._link_next: Dict[tuple, int] = {}
-        # (p, r, cap(j, r - 1)) -> the ids `links` returns
-        self._chains: Dict[tuple, Tuple[int, ...]] = {}
-        x0 = self.space((0,) * sysdef.m)
-        self._unit_links = [self._link_id(unit_field(x0, sysdef.input(p, 0)))
-                            for p in range(1, sysdef.m + 1)]
-
-    def space(self, j: Tuple[int, ...]) -> JetSpace:
-        if j not in self._spaces:
-            self._spaces[j] = build_space(self.sysdef, MultiIndex(j))
-        return self._spaces[j]
-
-    def bracket(self, a: VectorField, b: VectorField) -> VectorField:
-        """lie_bracket(a, b) on a's space, computed once per pair of
-        coefficient keys in this analysis.  This is exact: a bracket reads
-        only the two fields' coefficients and their derivatives, never the
-        jet space, so equal keys give equal brackets on every space that
-        has both fields."""
-        _same_space(a, b)
-        key = (a.key(), b.key())
-        br = self._brackets.get(key)
-        if br is None:
-            br = self._brackets[key] = lie_bracket(a, b)
-        return br.on(a.space)
-
-    def _link_id(self, link: VectorField) -> int:
-        lid = self._link_ids.get(link.key())
-        if lid is None:
-            lid = self._link_ids[link.key()] = len(self._links)
-            self._links.append(link)
-            self._link_us.append(tuple(sorted(
-                {(v.i, v.k) for e in link.coeffs.values()
-                 for v in e.free_base_vars() if v.kind == UDERIV})))
-        return lid
-
-    def links(self, p: int, r: int, j: Tuple[int, ...]) -> Tuple[int, ...]:
-        """The ids of ad_{g0}^s d/du_p^(0) on X^(j), s = 0..r, memoized on
-        (p, r, cap(j, r - 1)).  This is exact: link s involves u_q^(t) only
-        for t <= s - 1, so the links up to r meet the drift terms at
-        u_q^(t), t <= r - 2, which X^(j) has iff t < min(j_q, r - 1)."""
-        if r == 0:
-            return (self._unit_links[p - 1],)
-        key = (p, r, _cap(j, r - 1))
-        out = self._chains.get(key)
-        if out is None:
-            out = self.links(p, r - 1, j)
-            lid = out[-1]
-            drift = tuple(qt for qt in self._link_us[lid] if qt[1] < j[qt[0] - 1])
-            nxt = self._link_next.get((lid, drift))
-            if nxt is None:
-                sysdef, space = self.sysdef, self.space(_cap(j, r))
-                coeffs = {sysdef.state(i): f_i
-                          for i, f_i in enumerate(sysdef.f, start=1)}
-                for q, t in drift:
-                    coeffs[sysdef.input(q, t)] = Expr.var(sysdef.input(q, t + 1))
-                nxt = self._link_next[lid, drift] = self._link_id(self.bracket(
-                    VectorField(space, coeffs), self._links[lid].on(space)))
-            out = self._chains[key] = out + (nxt,)
-        return out
-
-    def link(self, p: int, r: int, j: Tuple[int, ...]) -> VectorField:
-        """ad_{g0}^r d/du_p^(0) on X^(j), on the space it was built on."""
-        return self._links[self.links(p, r, j)[-1]]
-
-
 class Context:
     """Shared caches of one analysis.  Both sigma-search conditions on
     Delta_k^(j) are answered by one `Distribution` per generator list, its
     home, built without a prolonged system:
 
     - The chain links come from one `ChainLinks` store, which also serves
-      the G levels of every prolonged system from `ps`.
+      the Delta and G generators of every prolonged system from `ps`.
     - Delta_k^(j) has the generators of Delta_k^(cap(j, k+1)) (see
       `gamma_invariant`), so its home is keyed by that list of link ids and
       lives on X^(cap(j, k+1)).  Involutivity of span{gens}, and whether
@@ -161,18 +75,14 @@ class Context:
       jet space; it is only rendered.
     - Every home, every distribution of a prolonged system from `ps`, and
       the H_1 of each initialization sample at the shared `points`, so a
-      field's row at a point is evaluated once per analysis."""
+      field's row at a point, and a bracket, is computed once per analysis."""
 
     def __init__(self, sysdef: SystemDef, budgets: Budgets):
         self.sysdef = sysdef
         self.budgets = budgets
         self.base_point = sysdef.base_point().resolved()
         self.points = SamplePoints(budgets.seed)
-        self.chain_links = store = ChainLinks(sysdef)
-        self.space, self.bracket, self.links = \
-            store.space, store.bracket, store.links
-        self._links, self._link_next, self._brackets = \
-            store._links, store._link_next, store._brackets
+        self.chain_links = ChainLinks(sysdef)
         self._ps: Dict[Tuple[int, ...], ProlongedSystem] = {}
         self._delta: Dict[Tuple[Tuple[int, ...], int], Distribution] = {}
         self._homes: Dict[Tuple[int, ...], Distribution] = {}
@@ -190,7 +100,7 @@ class Context:
 
     def home(self, j: Tuple[int, ...], k: int) -> Distribution:
         """The home Delta_k `Distribution` of the generator list of
-        Delta_k^(j), in `delta_generators` order, built on X^(cap(j, k+1))
+        Delta_k^(j), in `ChainLinks.delta` order, built on X^(cap(j, k+1))
         when the list is new: as an extension of the Delta_{k-1} home of
         cap(j, k) when there is one.  That home's links are among these:
         a link of depth s < k reads no drift term u_q^(t) with t >= k, so
@@ -198,14 +108,14 @@ class Context:
         capped = _cap(j, k + 1)
         dist = self._delta.get((capped, k))
         if dist is None:
-            ids = tuple(lid for p, jp in enumerate(capped, start=1)
-                        if jp <= k for lid in self.links(p, k - jp, capped)
-                        if not self._links[lid].is_zero())
+            store = self.chain_links
+            ids = tuple(lid for lid in store.delta(capped, k)
+                        if not store.fields[lid].is_zero())
             dist = self._homes.get(ids)
             if dist is None:
-                space = self.space(capped)
+                space = store.space(capped)
                 dist = self._homes[ids] = Distribution(
-                    space, [self._links[lid].on(space) for lid in ids],
+                    space, [store.fields[lid].on(space) for lid in ids],
                     seed=self.budgets.seed, samples=self.budgets.samples,
                     base_point=self.base_point, points=self.points,
                     prefix=self._delta.get((_cap(j, k), k - 1)))
@@ -215,7 +125,7 @@ class Context:
     def delta_involutive(self, j: Tuple[int, ...], k: int):
         """(True, None), or (False, the first failing pair in generator-pair
         order) for Delta_k^(j)."""
-        return self.home(j, k).is_involutive(self.bracket)
+        return self.home(j, k).is_involutive()
 
     # [Gamma_k, Delta_k] c Delta_k, one bracket sweep per Gamma coordinate
     def gamma_invariant(self, j: Tuple[int, ...], k: int):
@@ -228,7 +138,7 @@ class Context:
         home = self.home(j, k)
         for p, jp in enumerate(j, start=1):
             for c in self._gamma_coordinates_below(p, jp, k):
-                fail = home.coordinate_failure(c, self.bracket)
+                fail = home.coordinate_failure(c)
                 if fail is not None:
                     return False, fail
         return True, None
@@ -272,7 +182,7 @@ def static_linearizable(sysdef: SystemDef, seed: int = 0, samples: int = 5,
         ctx = Context(sysdef, Budgets(seed=seed, samples=samples))
     ps0 = ctx.ps((0,) * sysdef.m)
     ranks, kstar = g_stabilization(ps0)
-    first_bad, witness = _first_noninvolutive_g(ps0, kstar, ctx.bracket)
+    first_bad, witness = _first_noninvolutive_g(ps0, kstar)
     all_inv = first_bad is None
     full = ranks[-1] == sysdef.n + sysdef.m
     lin = all_inv and full
@@ -281,11 +191,11 @@ def static_linearizable(sysdef: SystemDef, seed: int = 0, samples: int = 5,
                         witness, ranks[-1])
 
 
-def _first_noninvolutive_g(ps: ProlongedSystem, kstar: int, bracket=None):
+def _first_noninvolutive_g(ps: ProlongedSystem, kstar: int):
     """(k, witness) of the first G_k, k <= kstar, that is not involutive,
     or (None, None)."""
     for k in range(0, kstar + 1):
-        ok, wit = g_filtration(ps, k).is_involutive(bracket)
+        ok, wit = g_filtration(ps, k).is_involutive()
         if not ok:
             return k, wit
     return None, None
@@ -368,7 +278,7 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
             violation = {"condition": condition, "k": k, **_rendered(fail)}
             return CnsResult(False, violation, None, d_ranks, gam_ranks,
                              g_ranks, cross_ok, [])
-        g_inv, _ = gdist.is_involutive(ctx.bracket)
+        g_inv, _ = gdist.is_involutive()
         if not g_inv:
             cross_ok = False
         if k > 0 and g_ranks[-1] == g_ranks[-2]:
@@ -396,11 +306,11 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
 
 
 def _locus(polys: Iterable[Poly]) -> Dict[str, Poly]:
-    """Singular factors by rendered string, in order of first appearance."""
-    out: Dict[str, Poly] = {}
-    for f in polys:
-        out.setdefault(render_poly(f), f)
-    return out
+    """Singular factors by rendered string, merged as `accumulate_factors`
+    merges them: in order of first appearance, none dividing another."""
+    merged: List[Poly] = []
+    accumulate_factors(merged, list(polys))
+    return {render_poly(f): f for f in merged}
 
 
 def _certify_conditions(ctx: Context, j: Tuple[int, ...],
@@ -415,8 +325,8 @@ def _certify_conditions(ctx: Context, j: Tuple[int, ...],
         member = dist.contains_certified
         condition = "involutivity"
         fail = next(bracket_failures(
-            itertools.combinations(dist.generators, 2), member, ctx.bracket),
-            None)
+            itertools.combinations(dist.generators, 2), member,
+            ctx.points.bracket), None)
         if fail is None:
             # only Gamma coordinates of order < k can bracket to nonzero,
             # and only those on the home space (see Context.gamma_invariant)
@@ -427,7 +337,7 @@ def _certify_conditions(ctx: Context, j: Tuple[int, ...],
                       if c in dist.space]
             fail = next(bracket_failures(
                 itertools.product(gammas, dist.generators), member,
-                ctx.bracket), None)
+                ctx.points.bracket), None)
         if fail is not None:
             return {"condition": condition, "k": k, "certified": True,
                     **_rendered(fail)}
@@ -455,10 +365,7 @@ class Initialization:
 def _h1_distribution(ctx: Context, kept: Sequence[int]) -> Distribution:
     ps0 = ctx.ps((0,) * ctx.sysdef.m)
     level1 = g_level_fields(ps0, 1)
-    gens: List[VectorField] = []
-    for p in kept:
-        gens.append(ps0.gi[p - 1])
-        gens.append(level1[p - 1])
+    gens = [g for p in kept for g in (ps0.gi[p - 1], level1[p - 1])]
     return Distribution(ps0.space, gens, seed=ctx.budgets.seed,
                         samples=ctx.budgets.samples, points=ctx.points)
 
@@ -468,10 +375,6 @@ def _embed(init: Initialization, m: int, assign: Tuple[int, ...]) -> Tuple[int, 
     for ch, val in zip(init.prolonged(m), assign):
         full[ch - 1] = val
     return tuple(full)
-
-
-def _cap(assign: Tuple[int, ...], cap: int) -> Tuple[int, ...]:
-    return tuple([a if a < cap else cap for a in assign])
 
 
 def _box_limit(k: int, user: Optional[int] = None) -> int:
@@ -603,7 +506,7 @@ class SigmaRun:
 
         def delta_ok(c):
             if c not in delta:
-                delta[c] = home(c).is_involutive(ctx.bracket)[0]
+                delta[c] = home(c).is_involutive()[0]
             return delta[c]
 
         def failing(c, i, floor=0):
@@ -615,8 +518,7 @@ class SigmaRun:
             for v in ctx._gamma_coordinates_below(channels[i], c[i], k):
                 if v.k <= floor:
                     break
-                if v in involved and \
-                        dist.coordinate_failure(v, ctx.bracket) is not None:
+                if v in involved and dist.coordinate_failure(v) is not None:
                     return v.k
             return 0
 
@@ -768,7 +670,7 @@ def enumerate_initializations(ctx: Context) -> List[Initialization]:
     out: List[Initialization] = []
     for size in range(1, m):
         for kept in itertools.combinations(range(1, m + 1), size):
-            ok, _ = _h1_distribution(ctx, kept).is_involutive(ctx.bracket)
+            ok, _ = _h1_distribution(ctx, kept).is_involutive()
             if not ok:
                 continue
             out.append(Initialization(kept, "standard"))
@@ -861,9 +763,9 @@ def _chain_jacobian_certificate(ps: ProlongedSystem, candidates, assign):
     polys = list(cert.factors)
     for row in rows:
         for e in row.coeffs.values():
-            accumulate_factors(polys, _factor_polys(dict(e.num)))
+            polys.extend(_factor_polys(dict(e.num)))
             if not pis_one(e.den):
-                accumulate_factors(polys, _factor_polys(dict(e.den)))
+                polys.extend(_factor_polys(dict(e.den)))
     ok = cert.rank == ps.space.dim
     return ok, {"jacobian_rank": cert.rank, "dimension": ps.space.dim,
                 "factors": _locus(polys)}
@@ -1008,11 +910,6 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
     except NotLinearizable:
         return None
     pools = _nullspace_pools(ps, kappa, ansatz_degree)
-
-    def nondegenerate(y: Expr, kap: int) -> bool:
-        top = [g for g in g_level_fields(ps, kap - 1) if not g.is_zero()]
-        return any(not g.apply(y).is_zero() for g in top)
-
     # the candidates' gradient rows, kept for this search only
     rows_at: Dict[tuple, Optional[Dict[int, int]]] = {}
 
@@ -1023,29 +920,36 @@ def search_flat_outputs(ps: ProlongedSystem, ansatz_degree: int = 2):
             rows_at[key] = ps.points.evaluate(r, ech.point)
         return rows_at[key] is not None and ech.insert(rows_at[key])
 
-    def backtrack(idx: int, echs: List[PointEchelon]):
-        # echs: the sample points at which the chains chosen so far are
-        # independent, with their echelons
-        if idx == len(kappa):
-            return []
-        kap = kappa[idx]
-        for cand in pools[kap]:
-            if not nondegenerate(cand, kap):
-                continue
-            # the chain grows while some point keeps it independent
-            alive = [ech.copy() for ech in echs]
-            for i in range(kap):
-                r = _gradient_field(ps, _chain(ps, cand, i + 1)[i])
-                alive = [ech for ech in alive if inserted(ech, r)]
-                if not alive:
-                    break
-            rest = backtrack(idx + 1, alive) if alive else None
-            if rest is not None:
-                return [cand] + rest
-        return None
-
     points = g_filtration(ps, 0).certificate.points
-    return backtrack(0, [PointEchelon(pt, FP) for pt in points])
+    return _chosen_outputs(ps, kappa, pools, inserted,
+                           [PointEchelon(pt, FP) for pt in points])
+
+
+def _chosen_outputs(ps: ProlongedSystem, kappa: Sequence[int],
+                    pools: Dict[int, _Lazy], inserted,
+                    echs: List[PointEchelon]) -> Optional[List[Expr]]:
+    """The first nondegenerate outputs from `pools`, one per index of `kappa`,
+    whose chains stay independent at a point of `echs`, the echelons of the
+    chains chosen so far; not a closure, so no cycle keeps ps alive."""
+    if not kappa:
+        return []
+    kap = kappa[0]
+    top = [g for g in g_level_fields(ps, kap - 1) if not g.is_zero()]
+    for cand in pools[kap]:
+        if all(g.apply(cand).is_zero() for g in top):
+            continue
+        # the chain grows while some point keeps it independent
+        alive = [ech.copy() for ech in echs]
+        for i in range(kap):
+            r = _gradient_field(ps, _chain(ps, cand, i + 1)[i])
+            alive = [ech for ech in alive if inserted(ech, r)]
+            if not alive:
+                break
+        rest = _chosen_outputs(ps, kappa[1:], pools, inserted, alive) \
+            if alive else None
+        if rest is not None:
+            return [cand] + rest
+    return None
 
 
 # ---------------------------------------------------------------------------

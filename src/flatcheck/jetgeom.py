@@ -356,8 +356,8 @@ class SamplePoints:
     take them.  Point i gives each variable the value drawn from (seed, i,
     variable), so one point restricts to every jet space; the row of a field
     at a point is computed once, over columns numbered per variable on first
-    sight, which the Q rows at a `JetOrigin` share.  It refers to no
-    distribution, so sharing it makes no cycle."""
+    sight, which the Q rows at a `JetOrigin` share; so is a bracket.  It
+    holds no distribution, nor a field with an id, so it makes no cycle."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -367,6 +367,8 @@ class SamplePoints:
         self._ids: Dict[tuple, int] = {}
         # (field id, point index) -> row, or None at a pole of the field
         self._rows: Dict[tuple, Optional[Dict[int, int]]] = {}
+        # (field id, field id) -> their bracket, which has no field id
+        self._brackets: Dict[Tuple[int, int], VectorField] = {}
 
     def field_id(self, v: VectorField) -> int:
         """A small int per distinct field key, assigned on first sight and
@@ -377,6 +379,16 @@ class SamplePoints:
             ids = self._ids
             fid = v._fid = (self, ids.setdefault(v.key(), len(ids)))
         return fid[1]
+
+    def bracket(self, a: VectorField, b: VectorField) -> VectorField:
+        """lie_bracket(a, b) on a's space, once per pair of field ids (it reads
+        no space); only copies leave, so no kept bracket gets a field id."""
+        _same_space(a, b)
+        key = (self.field_id(a), self.field_id(b))
+        br = self._brackets.get(key)
+        if br is None:
+            br = self._brackets[key] = lie_bracket(a, b)
+        return br.on(a.space)
 
     def point(self, i: int) -> _SharedPoint:
         while len(self._points) <= i:
@@ -553,30 +565,40 @@ def _int_primitive(p: Poly) -> Poly:
 
 
 def accumulate_factors(acc: List[Poly], candidates: List[Poly]):
-    """Collect factors, collapsing powers/products of ones already present."""
+    """Collect factors in order of first appearance: a candidate is divided
+    by every power of each listed factor but the monomials, and what is
+    left, if new, reduces in place each listed factor it divides: to the
+    cofactor, or to the candidate where the cofactor is a unit."""
+    leads: Dict[int, tuple] = {}    # id -> (poly, its leading monomial)
     for cand in candidates:
-        if len(cand) == 1:      # monomial factor: single variable, keep as is
-            if cand not in acc:
-                acc.append(cand)
+        if cand in acc:
             continue
-        rest = cand
-        changed = True
-        while changed and len(rest) > 1:
-            changed = False
-            for known in acc:
-                if len(known) <= 1:
-                    continue
-                try:
-                    q = pdivexact(rest, known)
-                except ArithmeticError:
-                    continue
-                rest = _int_primitive(q) if len(q) > 1 or set(q) != {MONO_ONE} \
-                    else q
-                changed = True
-                if not rest or set(rest) == {MONO_ONE}:
-                    break
-        if rest and set(rest) != {MONO_ONE} and rest not in acc:
-            acc.append(_int_primitive(rest))
+        for known in acc:
+            if len(known) > 1:
+                cand = _cofactor(cand, known, leads)
+        cand = _int_primitive(cand)
+        if set(cand) == {MONO_ONE} or cand in acc:
+            continue
+        acc.append(cand)
+        for i, known in enumerate(acc):
+            q = _cofactor(known, cand, leads) if len(known) > 1 else known
+            if q is not known:
+                acc[i] = cand if set(q) == {MONO_ONE} else _int_primitive(q)
+        acc[:] = [f for i, f in enumerate(acc) if f not in acc[:i]]
+
+
+def _cofactor(p: Poly, f: Poly, leads: Dict[int, tuple]) -> Poly:
+    """p divided by every power of f that divides it."""
+    while True:
+        for q in (p, f):
+            if id(q) not in leads:      # held there, so no id is reused
+                leads[id(q)] = q, pleading(q)[0]
+        if mono_div(leads[id(p)][1], leads[id(f)][1]) is None:
+            return p
+        try:
+            p = pdivexact(p, f)
+        except ArithmeticError:
+            return p
 
 
 @dataclass
@@ -1087,10 +1109,10 @@ class Distribution:
             return False
         return self.certified(True).elimination.contains(v)
 
-    def is_involutive(self, bracket=None):
+    def is_involutive(self):
         """(True, None) or (False, (g_a, g_b, [g_a, g_b])) with the first
-        failing pair in generator order, bracketed by `bracket` as in
-        `bracket_failures`; memoized.
+        failing pair in generator order, bracketed through the points'
+        memo; memoized.
 
         When `_sweeps_new` holds and the prefix is involutive, only the
         pairs with a new member are swept, in the same order: the full sweep
@@ -1101,7 +1123,8 @@ class Distribution:
                 new = set(map(id, self._new))
                 pairs = ((a, b) for a, b in pairs
                          if id(a) in new or id(b) in new)
-            fail = next(bracket_failures(pairs, self.contains, bracket), None)
+            fail = next(bracket_failures(pairs, self.contains,
+                                         self._points.bracket), None)
             self._involutive = (fail is None, fail)
         return self._involutive
 
@@ -1114,7 +1137,7 @@ class Distribution:
                 *(g.variables() for g in self.generators))
         return self._variables
 
-    def coordinate_failure(self, c: VarRef, bracket=None) -> Optional[tuple]:
+    def coordinate_failure(self, c: VarRef) -> Optional[tuple]:
         """The first (d/dc, g, [d/dc, g]) over the generators g, in order,
         that leaves the span, or None (always when the space lacks c: then
         no generator involves c); memoized per c.  Only the new generators
@@ -1127,7 +1150,7 @@ class Distribution:
             pairs = (itertools.product([unit_field(self.space, c)], gens)
                      if c in self.space else ())
             self._coordinate_failures[c] = next(bracket_failures(
-                pairs, self.contains, bracket), None)
+                pairs, self.contains, self._points.bracket), None)
         return self._coordinate_failures[c]
 
 

@@ -193,6 +193,24 @@ def test_budget_flags_are_checked_for_every_subcommand(capsys):
             assert "must be positive" in capsys.readouterr().err
 
 
+def test_json_and_trace_are_analyze_flags_only(capsys):
+    # verify, bracket and lint print text and no trace, so they reject the
+    # two flags as they reject any unknown flag
+    from flatcheck import cli
+    chained = str(FIXTURES / "chained.flt")
+    extra = {"verify": ["--prolong", "0,0"], "bracket": ["g0", "g1"],
+             "lint": []}
+    for command, rest in extra.items():
+        for flag in ("--json", "--trace"):
+            code = cli.main([command, chained, *rest, flag])
+            assert code == cli.EXIT_USAGE, (command, flag)
+            assert "unrecognized arguments: %s" % flag in \
+                capsys.readouterr().err
+    assert cli.main(["lint", chained]) == cli.EXIT_FLAT
+    assert cli.main(["analyze", chained, "--json", "--trace"]) == \
+        cli.EXIT_FLAT
+
+
 def test_any_library_exception_exits_internal(monkeypatch, capsys):
     # a crash that no library error class names (the degree-3 ansatz once
     # raised ValueError from min() of an empty sequence) is no verdict either

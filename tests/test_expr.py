@@ -388,7 +388,7 @@ def _analysis_coefficients(sysdef, monkeypatch):
             for level in ps._g_levels:
                 for g in level:
                     exprs += g.coeffs.values()
-        for link in ctx._links:
+        for link in ctx.chain_links.fields:
             exprs += link.coeffs.values()
     assert seen and len(exprs) > len(sysdef.f)
     return [q for e in exprs for q in _coefficients(e)]

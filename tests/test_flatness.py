@@ -13,11 +13,11 @@ from flatcheck.flatness import (Budgets, CandidateCountMismatch, Context,
                                 search_flat_outputs, static_linearizable,
                                 verify_flat_output)
 from flatcheck import flatness, jetgeom
-from flatcheck.jetgeom import (MultiIndex, SpaceMismatch, bracket_failures,
-                               fraction_rank, generic_rank, lie_bracket,
-                               unit_field)
+from flatcheck.jetgeom import (MultiIndex, SpaceMismatch, ad_pow,
+                               bracket_failures, fraction_rank, generic_rank,
+                               lie_bracket, unit_field)
 from flatcheck.prolong import (build_prolonged, delta_filtration,
-                               delta_generators, gamma_filtration)
+                               gamma_filtration)
 from flatcheck.report import INF
 from flatcheck.sysdsl import parse_system
 
@@ -158,15 +158,16 @@ def _first(fail):
 # -- sharing and on-demand certification ---------------------------------------
 
 def _counted_brackets(monkeypatch):
-    """The key pairs of every lie_bracket that flatness calls from now on."""
+    """The key pairs of every lie_bracket that the bracket sweeps call from
+    now on (the chain links bracket through `prolong.lie_bracket`)."""
     calls = []
-    orig = flatness.lie_bracket
+    orig = jetgeom.lie_bracket
 
     def counted(a, b):
         calls.append((a.key(), b.key()))
         return orig(a, b)
 
-    monkeypatch.setattr(flatness, "lie_bracket", counted)
+    monkeypatch.setattr(jetgeom, "lie_bracket", counted)
     return calls
 
 
@@ -181,8 +182,8 @@ def test_shared_verdicts_match_a_fresh_context_per_query(chained, driftless,
     for sysdef in systems:
         warm = Context(sysdef, Budgets())
         asked, warm_calls = [], []
-        memo = warm.bracket
-        warm.bracket = lambda a, b: asked.append((a, b)) or memo(a, b)
+        memo = warm.points.bracket
+        warm.points.bracket = lambda a, b: asked.append((a, b)) or memo(a, b)
         fresh = {}
         for k in range(1, 4):
             for j in itertools.product(range(0, k + 2), repeat=sysdef.m):
@@ -205,7 +206,7 @@ def test_shared_verdicts_match_a_fresh_context_per_query(chained, driftless,
         assert set(map(id, warm._delta.values())) == \
             set(map(id, warm._homes.values())), sysdef.name
         assert len(warm_calls) == len(set(warm_calls)) == \
-            len(warm._brackets), sysdef.name
+            len(warm.points._brackets), sysdef.name
         assert len(asked) > len(warm_calls), sysdef.name
 
 
@@ -218,15 +219,18 @@ def test_context_bracket_is_lie_bracket_on_the_first_fields_space(chained):
     fields += [lie_bracket(small.g0, small.gi[0]), small.g0 + small.gi[0]]
     pairs = list(itertools.product(fields, repeat=2))
     for a, b in pairs:
-        assert ctx.bracket(a, b) == lie_bracket(a, b)
+        assert ctx.points.bracket(a, b) == lie_bracket(a, b)
         # the same coefficients on a larger space: a memo hit, on that space
         wide_a, wide_b = a.on(big.space), b.on(big.space)
-        br = ctx.bracket(wide_a, wide_b)
+        br = ctx.points.bracket(wide_a, wide_b)
         assert br == lie_bracket(wide_a, wide_b) and br.space == big.space
         with pytest.raises(SpaceMismatch):
-            ctx.bracket(a, wide_b)
+            ctx.points.bracket(a, wide_b)
     assert any(not lie_bracket(a, b).is_zero() for a, b in pairs)
-    assert len(ctx._brackets) == len({(a.key(), b.key()) for a, b in pairs})
+    assert len(ctx.points._brackets) == \
+        len({(a.key(), b.key()) for a, b in pairs})
+    # no kept bracket refers back to the points, so the memo makes no cycle
+    assert all(br._fid is None for br in ctx.points._brackets.values())
 
 
 def test_a_new_context_starts_with_an_empty_bracket_memo(chained, monkeypatch):
@@ -234,7 +238,7 @@ def test_a_new_context_starts_with_an_empty_bracket_memo(chained, monkeypatch):
     analyze(chained)
     first = len(calls)
     assert first > 0
-    assert Context(chained, Budgets())._brackets == {}
+    assert Context(chained, Budgets()).points._brackets == {}
     # a second analysis brackets as much as the first: nothing outlives one
     del calls[:]
     analyze(chained)
@@ -275,10 +279,10 @@ def test_a_failing_check_brackets_fewer_pairs_than_the_full_sweep(chained,
                                 (chained, "delta_involutive", (0, 0), 2),
                                 (chained, "gamma_invariant", (1, 2), 3)):
         ctx = Context(sysdef, Budgets())
-        ctx.home(j, k)      # its chain links bracket through ctx.bracket too
+        ctx.home(j, k)
         asked = []
-        memo = ctx.bracket
-        ctx.bracket = lambda a, b: asked.append((a, b)) or memo(a, b)
+        memo = ctx.points.bracket
+        ctx.points.bracket = lambda a, b: asked.append((a, b)) or memo(a, b)
         ok, fail = getattr(ctx, check)(j, k)
         assert not ok and asked[-1] == fail[:2], (sysdef.name, check)
         if check == "delta_involutive":
@@ -395,8 +399,10 @@ def test_an_exact_rank_apart_from_the_sampled_rank_is_a_warning(
 
 
 def test_analyze_leaves_no_context_alive(monkeypatch):
-    # nothing an analysis keeps refers back to its Context, so each one is
-    # freed by reference counting alone when analyze returns
+    # nothing an analysis keeps refers back to its Context, its sample
+    # points (with their rows and bracket memo) or its chain-link store, so
+    # each is freed by reference counting alone when analyze returns; the
+    # flat-output search of a flat system makes no cycle that holds them
     import gc
     import weakref
 
@@ -405,7 +411,8 @@ def test_analyze_leaves_no_context_alive(monkeypatch):
     class Recorded(Context):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            alive.append(weakref.ref(self))
+            alive.append((weakref.ref(self), weakref.ref(self.points),
+                          weakref.ref(self.chain_links)))
 
     monkeypatch.setattr(flatness, "Context", Recorded)
     wl = load_workloads()
@@ -418,10 +425,44 @@ def test_analyze_leaves_no_context_alive(monkeypatch):
     try:
         for name, sysdef in sorted(systems.items()):
             analyze(sysdef, Budgets(seed=0))
-            assert alive[-1]() is None, name
+            assert [ref() for ref in alive[-1]] == [None] * 3, name
     finally:
         gc.enable()
     assert len(alive) == 11
+
+
+def test_a_standalone_verify_brackets_no_key_pair_twice(monkeypatch):
+    # a prolonged system built alone, as `flatcheck verify` builds one,
+    # brackets its chain links through its own link store and its sweeps
+    # through its points' memo, as a system of an analysis does
+    import json
+    from flatcheck import prolong
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    calls = []
+    orig = jetgeom.lie_bracket
+
+    def counted(a, b):
+        calls.append((a.key(), b.key()))
+        return orig(a, b)
+
+    for mod in (jetgeom, prolong):
+        monkeypatch.setattr(mod, "lie_bracket", counted)
+    wl = load_workloads()
+    checked = 0
+    for w in wl.NAMES:
+        for name, text in wl.workload(w, str(ROOT)):
+            j = expected["systems"][name]["j_min"]
+            if j is None:
+                continue
+            sysdef = parse_system(text)
+            ps = build_prolonged(sysdef, j,
+                                 base_point=sysdef.base_point().resolved())
+            del calls[:]
+            ok, _ = verify_flat_output(ps, sysdef.declared_flat_outputs)
+            assert ok and calls, name
+            assert len(calls) == len(set(calls)), name
+            checked += 1
+    assert checked == 10
 
 
 # -- the link store, homes on capped spaces, carried survivors -----------------
@@ -435,22 +476,33 @@ def test_interned_links_equal_the_chains_of_ps_j(chained, driftless, clm,
                                                  pendulum, threeinput):
     for sysdef in _five_and_z2(chained, driftless, clm, pendulum, threeinput):
         ctx = Context(sysdef, Budgets())
+        store = ctx.chain_links
         for j in itertools.product(range(0, 4), repeat=sysdef.m):
             ps = build_prolonged(sysdef, j)
             for p in range(1, sysdef.m + 1):
-                for r, lid in enumerate(ctx.links(p, 3, j)):
-                    assert ctx._links[lid].coeffs == ps.ad_u0(p, r).coeffs, \
-                        (sysdef.name, j, p, r)
+                for r, lid in enumerate(store.links(p, 3, j)):
+                    assert store.fields[lid].coeffs == \
+                        _direct_link(ps, p, r).coeffs, (sysdef.name, j, p, r)
+
+
+def _direct_link(ps, p, r):
+    """ad_{g0}^r d/du_p^(0) on X^(j), bracketed from ps.g0 as in the paper."""
+    return ad_pow(ps.g0, unit_field(ps.space, ps.sysdef.input(p, 0)), r)
 
 
 def test_homes_hold_the_delta_generators_of_ps_j(chained, driftless, clm,
                                                  pendulum, threeinput):
+    # each home against the paper's construction of Delta_k^(j): the links
+    # ad_{g0}^(l - j_p) d/du_p^(0), l = j_p..k, by channel, then by depth
     for sysdef in _five_and_z2(chained, driftless, clm, pendulum, threeinput):
         ctx = Context(sysdef, Budgets())
         for k in range(0, 3):
             for j in itertools.product(range(0, k + 3), repeat=sysdef.m):
+                ps = build_prolonged(sysdef, j)
                 want = [g.key() for g in
-                        delta_generators(build_prolonged(sysdef, j), k)
+                        (_direct_link(ps, p, l - jp)
+                         for p, jp in enumerate(j, start=1)
+                         for l in range(jp, k + 1))
                         if not g.is_zero()]
                 home = ctx.home(j, k)
                 assert [g.key() for g in home.generators] == want, \
@@ -575,10 +627,10 @@ def _counting(monkeypatch):
     counts = {"calls": 0, "misses": 0, "contexts": []}
     failure = jetgeom.Distribution.coordinate_failure
 
-    def counted(dist, c, bracket=None):
+    def counted(dist, c):
         counts["calls"] += 1
         counts["misses"] += c not in dist._coordinate_failures
-        return failure(dist, c, bracket)
+        return failure(dist, c)
 
     class Recorded(Context):
         def __init__(self, *args):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from flatcheck.expr import Expr, fraction_mod, state_var, tan_half_values
+from flatcheck.expr import (Expr, fraction_mod, render_poly, state_var,
+                            tan_half_values)
 from flatcheck.jetgeom import (FP, QQ, Distribution, MultiIndex,
                                PointEchelon, SamplePoints, SpaceMismatch,
                                VectorField, ad_pow,
@@ -384,3 +385,21 @@ def test_jet_space_columns_and_var_hash(chained):
     relabeled = state_var(1, "other")
     assert relabeled == chained.state(1)
     assert hash(relabeled) == hash(chained.state(1))
+
+
+def test_a_new_factor_reduces_the_listed_factors_it_divides_in_place():
+    from flatcheck.jetgeom import accumulate_factors
+    x, y, z = (Expr.var(state_var(i, "x%d" % i)) for i in (1, 2, 3))
+    a, b, c = x + Expr.one(), y + Expr.one(), x - z
+    rendered = lambda acc: [render_poly(f) for f in acc]   # noqa: E731
+    for listed, new, want in (
+            ([a * a], [a], [a]),
+            ([a * a * b], [a], [b, a]),
+            ([a * b, c * b], [b], [a, c, b]),
+            ([a, b], [a * a * b], [a, b])):
+        acc = []
+        accumulate_factors(acc, [e.num for e in listed])
+        assert rendered(acc) == rendered(e.num for e in listed)
+        accumulate_factors(acc, [e.num for e in new])
+        assert rendered(acc) == rendered(e.num for e in want), \
+            (rendered(e.num for e in listed), rendered(e.num for e in new))

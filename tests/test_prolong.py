@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from flatcheck import prolong
 from flatcheck.expr import DenominatorVanishes, Expr
 from flatcheck.jetgeom import (Distribution, MultiIndex, PointEchelon,
                                SamplePoints, VectorField, ad_pow, lie_bracket,
@@ -319,12 +320,12 @@ def test_extended_delta_homes_equal_a_build_from_scratch(
                     assert [e.rows for e in got.echelons] == \
                         [e.rows for e in want.echelons], where
                     assert dist.sampled_rank == fresh.sampled_rank, where
-                    assert dist.is_involutive(ctx.bracket) == \
-                        fresh.is_involutive(ctx.bracket), where
+                    assert dist.is_involutive() == fresh.is_involutive(), \
+                        where
                     for c in list(dist._coordinate_failures) + \
                             list(dist.space.coords[sysdef.n:]):
-                        assert dist.coordinate_failure(c, ctx.bracket) == \
-                            fresh.coordinate_failure(c, ctx.bracket), where
+                        assert dist.coordinate_failure(c) == \
+                            fresh.coordinate_failure(c), where
     assert nested > 400 and extended > 400 and homes > 500
 
 
@@ -335,7 +336,7 @@ def test_delta_sweeps_visit_only_the_new_generators(chained, monkeypatch):
     assert d1._prefix is d0 and d1._extended
     assert ctx.delta_involutive((0, 0), 0)[0]
     u1 = chained.input(1, 0)
-    assert d0.coordinate_failure(u1, ctx.bracket) is None
+    assert d0.coordinate_failure(u1) is None
     # by channel, then depth: the new links do not come last
     gens = d1.generators
     assert d1._new == [gens[1], gens[3]]
@@ -348,11 +349,11 @@ def test_delta_sweeps_visit_only_the_new_generators(chained, monkeypatch):
         return orig(pairs, member, bracket)
 
     monkeypatch.setattr(jetgeom, "bracket_failures", counted)
-    d1.is_involutive(ctx.bracket)
+    d1.is_involutive()
     assert swept == [(a, b) for a, b in itertools.combinations(gens, 2)
                      if a in d1._new or b in d1._new]
     del swept[:]
-    d1.coordinate_failure(u1, ctx.bracket)
+    d1.coordinate_failure(u1)
     assert [b for _, b in swept] == [gens[1], gens[3]]
 
 
@@ -479,11 +480,9 @@ def test_context_brackets_each_chain_link_once(chained, driftless, clm,
                                                pendulum, threeinput,
                                                monkeypatch):
     # the Context's link store brackets once per (previous link, drift terms
-    # it meets), through Context.bracket, and never more often than once per
-    # (p, r, cap(j, r))
-    from flatcheck import flatness
+    # it meets), and never more often than once per (p, r, cap(j, r))
     brackets = []
-    orig = flatness.lie_bracket
+    orig = prolong.lie_bracket
 
     def counted(v, w):
         brackets.append((v, w))
@@ -491,19 +490,20 @@ def test_context_brackets_each_chain_link_once(chained, driftless, clm,
 
     for sysdef in _link_systems(chained, driftless, clm, pendulum, threeinput):
         ctx = Context(sysdef, Budgets())
+        store = ctx.chain_links
         box = _link_box(sysdef)
         with monkeypatch.context() as patch:
-            patch.setattr(flatness, "lie_bracket", counted)
+            patch.setattr(prolong, "lie_bracket", counted)
             del brackets[:]
-            shared = [ctx.links(p, r, j)[-1] for p, r, j in box]
+            shared = [store.links(p, r, j)[-1] for p, r, j in box]
         links = {(p, s, tuple(min(jq, s) for jq in j))
                  for p, r, j in box for s in range(1, r + 1)}
-        assert len(brackets) == len(ctx._link_next) == len(ctx._brackets), \
-            sysdef.name
+        assert len(brackets) == len(store._link_next), sysdef.name
         assert len(brackets) <= len(links), sysdef.name
         for (p, r, j), lid in zip(box, shared):
-            assert ctx._links[lid].key() == \
-                build_prolonged(sysdef, j).ad_u0(p, r).key(), \
+            ps = build_prolonged(sysdef, j)
+            direct = ad_pow(ps.g0, unit_field(ps.space, sysdef.input(p, 0)), r)
+            assert store.fields[lid].key() == direct.key(), \
                 (sysdef.name, j, p, r)
 
 
@@ -513,16 +513,16 @@ def test_context_links_are_memoized_on_cap_j_r_minus_1(chained, driftless,
     # a second walk of a chain is one lookup, for every j with the same
     # cap(j, r - 1), and brackets nothing
     for sysdef in _link_systems(chained, driftless, clm, pendulum, threeinput):
-        ctx = Context(sysdef, Budgets())
+        store = Context(sysdef, Budgets()).chain_links
         box = _link_box(sysdef)
-        first = [ctx.links(p, r, j) for p, r, j in box]
-        made = len(ctx._brackets)
+        first = [store.links(p, r, j) for p, r, j in box]
+        made = len(store._link_next)
         for (p, r, j), ids in zip(box, first):
             below = tuple(min(jq, max(r - 1, 0)) for jq in j)
-            assert ctx.links(p, r, below) == ids, (sysdef.name, j, p, r)
+            assert store.links(p, r, below) == ids, (sysdef.name, j, p, r)
             if r:
-                assert ctx.links(p, r, below) is ids
-        assert len(ctx._brackets) == made, sysdef.name
+                assert store.links(p, r, below) is ids
+        assert len(store._link_next) == made, sysdef.name
 
 
 def _ad_pow_levels(ps, top):
@@ -535,14 +535,13 @@ def test_g_levels_equal_the_iterated_brackets(chained, driftless, clm,
                                               monkeypatch):
     # level r of channel i is (-1)^r d/du_i^(j_i - r) up to r = j_i, then
     # (-1)^j_i times chain link r - j_i: key for key ad_{g0}^r g_i, both on a
-    # system of a Context, which reads the links off its store and brackets
-    # nothing itself, and on a standalone one, which brackets its own chain
-    from flatcheck import prolong
+    # system of a Context, which brackets no link its store already holds,
+    # and on a standalone one, whose own store brackets each link once
     own = []
     real = prolong.lie_bracket
 
     def counted(v, w):
-        own.append(v)
+        own.append((v.key(), w.key()))
         return real(v, w)
 
     for sysdef in (chained, driftless, clm, pendulum, threeinput):
@@ -550,11 +549,16 @@ def test_g_levels_equal_the_iterated_brackets(chained, driftless, clm,
         for j in itertools.product(range(0, 3), repeat=sysdef.m):
             expected = _ad_pow_levels(build_prolonged(sysdef, j), 5)
             for ps in (ctx.ps(j), build_prolonged(sysdef, j)):
+                held = len(ps.links._link_next)
                 with monkeypatch.context() as patch:
                     patch.setattr(prolong, "lie_bracket", counted)
                     del own[:]
                     levels = [g_level_fields(ps, r) for r in range(6)]
-                assert (ps.links is None) == bool(own), (sysdef.name, j)
+                # every bracket made a link the store did not hold
+                assert len(own) == len(set(own)) == \
+                    len(ps.links._link_next) - held, (sysdef.name, j)
+                if ps.links is not ctx.chain_links:
+                    assert held == 0 and own, (sysdef.name, j)
                 assert [[g.key() for g in level] for level in levels] == \
                     expected, (sysdef.name, j)
                 assert all(g.space is ps.space

@@ -1,11 +1,13 @@
 """Sampled rank and membership (over F_p) against sympy's exact rank of the
 coefficient matrix over the field of rational functions, on random small
 systems; the sparse rational echelon against sympy's rank, nullspace and
-reduced row echelon form; and `lie_bracket` against sympy's derivatives
-(skips when sympy is not installed)."""
+reduced row echelon form; `lie_bracket` against sympy's derivatives; and
+the singular locus against sympy's polynomial division (skips when sympy
+is not installed)."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,12 +16,15 @@ sp = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from flatcheck.expr import Expr, cos_var, sin_var, state_var  # noqa: E402
+from flatcheck.flatness import Budgets, analyze  # noqa: E402
 from flatcheck.jetgeom import (Distribution, JetSpace,  # noqa: E402
                                MultiIndex, PointEchelon, VectorField,
                                brackets_to_zero, generic_rank, lie_bracket)
 from flatcheck.prolong import build_prolonged, g_level_fields  # noqa: E402
+from flatcheck.sysdsl import parse_system  # noqa: E402
 
-from conftest import random_field, random_system  # noqa: E402
+from conftest import (ROOT, load_workloads, random_field,  # noqa: E402
+                      random_system)
 
 
 def _to_sympy(e, symbols):
@@ -191,3 +196,42 @@ def test_lie_bracket_matches_sympy_and_skipped_pairs_bracket_to_zero():
 
     check()
     assert seen["skipped"] and seen["nonzero"]
+
+
+RATIONAL = ("system rational\nstate x1 x2\ninput u1\n"
+            "dot x1 = x2/(1 + x2^2)\ndot x2 = u1\n")
+
+
+def _locus_polys(locus):
+    """The reported factors as sympy polynomials over Q in their names."""
+    names = sorted({n for f in locus
+                    for n in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", f)})
+    symbols = {n: sp.Symbol(n) for n in names}
+    exprs = [sp.parse_expr(f.replace("^", "**"), local_dict=symbols)
+             for f in locus]
+    return [sp.Poly(e, *symbols.values(), domain="QQ") for e in exprs]
+
+
+def test_no_singular_factor_divides_another():
+    # Delta_2 of the rational system meets (x2^2 + 1)^2 and Delta_3 both
+    # it and x2^2 + 1: the locus lists x2^2 + 1 in the square's place
+    rep = analyze(parse_system(RATIONAL))
+    assert rep.singular_locus == ["x2^2 + 1", "x2^2 - 1", "x2", "u1",
+                                  "x2^2 - 3"]
+    wl = load_workloads()
+    texts = [text for name in wl.NAMES
+             for _, text in wl.workload(name, str(ROOT))]
+    assert len(texts) == 11
+    checked = 0
+    for text, seed in [(RATIONAL, 0)] + \
+            [(t, seed) for t in texts for seed in (0, 11)]:
+        sysdef = parse_system(text)
+        locus = analyze(sysdef, Budgets(seed=seed)).singular_locus
+        polys = _locus_polys(locus)
+        for (a, fa), (b, fb) in itertools.permutations(
+                zip(locus, polys), 2):
+            # a single divisor is a Groebner basis of its ideal, so the
+            # remainder is zero iff it divides
+            assert not fb.rem(fa).is_zero, (sysdef.name, seed, a, b)
+            checked += 1
+    assert checked > 200
