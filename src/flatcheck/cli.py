@@ -31,6 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("input", help=".flt system definition")
+
+    def budgeted(p):
+        # the budgets of an analysis: only analyze and verify sample or search
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=5)
         p.add_argument("--max-k", type=int, default=None)
@@ -39,10 +42,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="run the full prolongation analysis")
     common(pa)
+    budgeted(pa)
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--trace", action="store_true")
     pv = sub.add_parser("verify", help="verify the file's flatoutput candidates")
     common(pv)
+    budgeted(pv)
     pv.add_argument("--prolong", type=str, default=None,
                     help="comma-separated prolongation orders j1,j2,...")
     pb = sub.add_parser("bracket", help="print iterated Lie brackets")
@@ -132,7 +137,8 @@ def _print_text_report(rep: AnalysisReport, trace: bool):
                                       list(st.sigma_gamma_delta), st.witness_l))
 
 
-def cmd_analyze(args, budgets: Budgets) -> int:
+def cmd_analyze(args) -> int:
+    budgets = _budgets(args)
     sysdef = _load(args)
     t0 = time.perf_counter()
     rep = analyze(sysdef, budgets)
@@ -146,7 +152,8 @@ def cmd_analyze(args, budgets: Budgets) -> int:
             "inconclusive": EXIT_INCONCLUSIVE}[rep.verdict]
 
 
-def cmd_verify(args, budgets: Budgets) -> int:
+def cmd_verify(args) -> int:
+    budgets = _budgets(args)
     sysdef = _load(args)
     if not sysdef.declared_flat_outputs:
         raise DslError("no flatoutput line in %s" % args.input)
@@ -175,11 +182,11 @@ def cmd_verify(args, budgets: Budgets) -> int:
     return EXIT_NOT_FLAT
 
 
-def cmd_bracket(args, budgets: Budgets) -> int:
+def cmd_bracket(args) -> int:
     sysdef = _load(args)
     j = _parse_prolong(args.prolong, sysdef.m) if args.prolong \
         else MultiIndex([0] * sysdef.m)
-    ps = build_prolonged(sysdef, j, seed=budgets.seed, samples=budgets.samples)
+    ps = build_prolonged(sysdef, j)
     fields = {"g0": ps.g0}
     for i in range(1, sysdef.m + 1):
         fields["g%d" % i] = ps.gi[i - 1]
@@ -194,7 +201,7 @@ def cmd_bracket(args, budgets: Budgets) -> int:
     return EXIT_FLAT
 
 
-def cmd_lint(args, budgets: Budgets) -> int:
+def cmd_lint(args) -> int:
     sysdef = _load(args)
     print("%s: ok (n=%d, m=%d%s)" % (args.input, sysdef.n, sysdef.m,
                                      ", params: %s" % ", ".join(sysdef.params)
@@ -211,8 +218,7 @@ def main(argv=None) -> int:
     command = {"analyze": cmd_analyze, "verify": cmd_verify,
                "bracket": cmd_bracket, "lint": cmd_lint}[args.command]
     try:
-        # the budget flags are shared by every subcommand: checked once here
-        status = command(args, _budgets(args))
+        status = command(args)
         sys.stdout.flush()      # a closed pipe surfaces here, not at exit
     except BrokenPipeError:
         # the reader went away: point stdout at devnull so the interpreter's

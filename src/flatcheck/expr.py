@@ -6,15 +6,15 @@ sin/cos enter as atoms over a plain base variable, reduced by the single
 rewrite sin^2 -> 1 - cos^2, so the sin-degree of every canonical polynomial
 is at most 1 per base.  Denominators are kept sin-free (multiply through by
 the sin-conjugate), which makes the representation of a value unique:
-equality is bit-for-bit comparison of canonical forms and is_zero is
-decidable.
+equality compares the canonical forms' sets of terms, with no term order,
+and is_zero is decidable.  Graded lex (`mono_key`) orders terms only where
+the order shows: leading terms and printing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -55,11 +55,17 @@ class VarRef:
     trig: int = PLAIN
     label: str = field(default="", compare=False, repr=False)
     skey: tuple = field(default=None, init=False, compare=False, repr=False)
+    rkey: tuple = field(default=None, init=False, compare=False, repr=False)
     _hash: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         skey = (self.kind, self.i, self.k, self.name, self.trig)
         object.__setattr__(self, "skey", skey)
+        # skey's order reversed, for `mono_key`: a name is negated per
+        # character and closed by 1, so a prefix sorts after its extensions
+        object.__setattr__(self, "rkey", (
+            -self.kind, -self.i, -self.k,
+            tuple(-ord(c) for c in self.name) + (1,), -self.trig))
         # the hash the generated __hash__ would give, computed once
         object.__setattr__(self, "_hash", hash(skey))
 
@@ -204,10 +210,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(out)
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def mono_div(a: Mono, b: Mono) -> Optional[Mono]:
     """a / b, or None if b does not divide a."""
     db = dict(b)
@@ -223,32 +225,15 @@ def mono_div(a: Mono, b: Mono) -> Optional[Mono]:
     return tuple(out)
 
 
-def mono_cmp(a: Mono, b: Mono) -> int:
-    """Graded lexicographic order; larger exponent on an earlier variable wins."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        ka, kb = va.sort_key(), vb.sort_key()
-        if ka < kb:
-            return 1
-        if kb < ka:
-            return -1
-        if ea != eb:
-            return 1 if ea > eb else -1
-        ia += 1
-        ib += 1
-    if ia < len(a):
-        return 1
-    if ib < len(b):
-        return -1
-    return 0
-
-
-_MONO_KEY = cmp_to_key(mono_cmp)
+def mono_key(m: Mono) -> tuple:
+    """The graded-lex sort key: total degree, then a larger exponent on an
+    earlier variable (in `sort_key` order) sorts higher."""
+    # one loop: sum() and tuple() over generators take about twice as long
+    degree, pairs = 0, []
+    for v, e in m:
+        degree += e
+        pairs.append((v.rkey, e))
+    return degree, tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +366,7 @@ def pmul(a: Poly, b: Poly) -> Poly:
 
 
 def pleading(a: Poly) -> Tuple[Mono, Fraction]:
-    best = None
-    for m in a:
-        if best is None or mono_cmp(m, best) > 0:
-            best = m
+    best = max(a, key=mono_key)
     return best, a[best]
 
 
@@ -658,8 +640,7 @@ class Expr:
         # product with this one have an integral Fraction coefficient
         self._q = _has_fraction(num) or _has_fraction(den) if _q is None \
             else _q
-        self._key = (tuple(sorted(num.items(), key=lambda p: _MONO_KEY(p[0]))),
-                     tuple(sorted(den.items(), key=lambda p: _MONO_KEY(p[0]))))
+        self._key = (frozenset(num.items()), frozenset(den.items()))
         self._hash = hash(self._key)
 
     # -- construction
@@ -854,7 +835,7 @@ def _render_coeff(c: Fraction) -> str:
 def render_poly(p: Poly) -> str:
     if not p:
         return "0"
-    monos = sorted(p, key=_MONO_KEY, reverse=True)
+    monos = sorted(p, key=mono_key, reverse=True)
     parts = []
     for m in monos:
         c = p[m]

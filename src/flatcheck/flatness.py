@@ -8,11 +8,11 @@ import copy
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from typing import (Collection, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
-from .expr import (Expr, Poly, VarRef, cos_var, mono_cmp, mono_from, pconst,
+from .expr import (Expr, Poly, VarRef, cos_var, mono_from, mono_key, pconst,
                    peval, pis_one, primitive_scale, render_expr, render_poly,
                    sin_var)
 # lie_bracket is bound here, unused, so that a tracer that wraps each of
@@ -232,11 +232,16 @@ class CnsResult:
     gamma_ranks: List[int]
     g_ranks: List[int]
     cross_check_agrees: bool
-    factors: List[str]
+    # the certificates' singular factors, merged by `accumulate_factors`
+    locus: List[Poly]
     # ("Delta_k" or "G_k", certificate) of every filtration step checked at
     # j, Delta_0.. then G_0..
     certificates: List[Tuple[str, RankCertificate]] = field(
         default_factory=list)
+
+    @property
+    def factors(self) -> List[str]:
+        return [render_poly(f) for f in self.locus]
 
 
 def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
@@ -299,10 +304,10 @@ def cns_check(sysdef: SystemDef, j, seed: int = 0, samples: int = 5,
         violation = _certify_conditions(ctx, tuple(j), kstar)
     certs = [("Delta_%d" % i, c) for i, c in enumerate(d_certs)] + \
         [("G_%d" % i, c) for i, c in enumerate(g_certs)]
+    locus: List[Poly] = []
+    accumulate_factors(locus, [f for _, c in certs for f in c.factors])
     return CnsResult(violation is None, violation, kstar, d_ranks,
-                     gam_ranks, g_ranks, cross_ok,
-                     list(_locus(f for _, c in certs for f in c.factors)),
-                     certs)
+                     gam_ranks, g_ranks, cross_ok, locus, certs)
 
 
 def _locus(polys: Iterable[Poly]) -> Dict[str, Poly]:
@@ -890,7 +895,7 @@ def _ansatz_conditions(g: VectorField, cols_of: Dict[VarRef, List[int]],
 def _normalize_output(e: Expr) -> Expr:
     """Integer-primitive scaling with the graded-lex smallest monomial positive."""
     scale = primitive_scale(e.num.values())
-    if e.num[min(e.num, key=cmp_to_key(mono_cmp))] < 0:
+    if e.num[min(e.num, key=mono_key)] < 0:
         scale = -scale
     return e * Expr.rational(scale)
 
@@ -1071,13 +1076,13 @@ def _flat_report(ctx: Context, j: MultiIndex, res: CnsResult,
     _audit_bounds(sysdef, j, k_star, kappa, res)
     outputs = search_flat_outputs(ps, ctx.budgets.ansatz_degree)
     out_strings = None
-    polys = [f for _, c in res.certificates for f in c.factors]
+    merged = list(res.locus)
     if outputs is not None:
         ok, cert = verify_flat_output(ps, outputs)
         if ok:
             out_strings = [render_expr(y) for y in outputs]
-            polys.extend(cert["factors"].values())
-    locus = _locus(polys)
+            accumulate_factors(merged, list(cert["factors"].values()))
+    locus = {render_poly(f): f for f in merged}
     _flag_base_point(ctx, res, locus)
     _, perm = j.sorted_permutation()
     if note:

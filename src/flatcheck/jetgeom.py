@@ -125,11 +125,10 @@ class VectorField:
         self._key = self._vars = self._fid = None
 
     def key(self):
-        # (coordinate, Expr) pairs: an Expr caches its hash, so the key of a
-        # field hashes cheaply wherever it is looked up
+        # the set of (coordinate, Expr) pairs: an Expr caches its hash, so
+        # the key of a field hashes cheaply wherever it is looked up
         if self._key is None:
-            items = sorted(self.coeffs.items(), key=lambda p: p[0].sort_key())
-            self._key = tuple(items)
+            self._key = frozenset(self.coeffs.items())
         return self._key
 
     def variables(self) -> frozenset:
@@ -364,7 +363,7 @@ class SamplePoints:
         self._points: List[_SharedPoint] = []
         self._cols: Dict[VarRef, int] = {}
         # field key -> field id
-        self._ids: Dict[tuple, int] = {}
+        self._ids: Dict[frozenset, int] = {}
         # (field id, point index) -> row, or None at a pole of the field
         self._rows: Dict[tuple, Optional[Dict[int, int]]] = {}
         # (field id, field id) -> their bracket, which has no field id
@@ -670,7 +669,7 @@ class _Packing:
     """Monomials over `variables` (sorted by `sort_key`) packed into one int,
     `width` bits per field: the total degree in the top field, then each
     variable's exponent, the first variable highest.  Int order is then
-    `mono_cmp`'s graded lex, so `max` gives the leading term.  The top bit of
+    `mono_key`'s graded lex, so `max` gives the leading term.  The top bit of
     every field is a guard bit: exponents up to `cap` = 2^(width-1) - 1 add
     without carry, so a product's key is a + b, and b divides a iff
     ((a | guard) - b) & guard == guard."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from .expr import UDERIV, Expr, VarRef
@@ -11,13 +12,15 @@ from .sysdsl import SystemDef
 
 
 def build_space(sysdef: SystemDef, j: MultiIndex) -> JetSpace:
-    coords = [sysdef.state(i) for i in range(1, sysdef.n + 1)]
-    for i in range(1, sysdef.m + 1):
-        for k in range(0, j[i - 1] + 1):
-            coords.append(sysdef.input(i, k))
-    return JetSpace(n=sysdef.n, m=sysdef.m, j=j, coords=tuple(coords),
+    return JetSpace(n=sysdef.n, m=sysdef.m, j=j, coords=_coords(sysdef, j),
                     params=tuple(sysdef.param_vars()),
                     trig_bases=tuple(sysdef.trig_bases()))
+
+
+def _coords(sysdef: SystemDef, j: Tuple[int, ...]) -> Tuple[VarRef, ...]:
+    return tuple([sysdef.state(i) for i in range(1, sysdef.n + 1)]
+                 + [sysdef.input(i, k) for i in range(1, sysdef.m + 1)
+                    for k in range(j[i - 1] + 1)])
 
 
 def _cap(assign: Tuple[int, ...], cap: int) -> Tuple[int, ...]:
@@ -47,22 +50,26 @@ class ChainLinks:
 
     def __init__(self, sysdef: SystemDef):
         self.sysdef = sysdef
-        self._spaces: Dict[Tuple[int, ...], JetSpace] = {}
+        x0 = build_space(sysdef, MultiIndex((0,) * sysdef.m))
+        self._spaces: Dict[Tuple[int, ...], JetSpace] = {x0.j: x0}
         # chain links by id, with the (q, t) of the u_q^(t) they involve
         self.fields: List[VectorField] = []
         self._link_us: List[Tuple[Tuple[int, int], ...]] = []
-        self._link_ids: Dict[tuple, int] = {}
+        self._link_ids: Dict[frozenset, int] = {}
         # (link id, drift terms (q, t) it meets) -> id of the next link
         self._link_next: Dict[tuple, int] = {}
         # (p, r, cap(j, r - 1)) -> the ids `links` returns
         self._chains: Dict[tuple, Tuple[int, ...]] = {}
-        x0 = self.space((0,) * sysdef.m)
         self._unit_links = [self._link_id(unit_field(x0, sysdef.input(p, 0)))
                             for p in range(1, sysdef.m + 1)]
 
     def space(self, j: Tuple[int, ...]) -> JetSpace:
+        """X^(j), sharing X^(0)'s parameters and trig bases, which only
+        `build_space` finds."""
         if j not in self._spaces:
-            self._spaces[j] = build_space(self.sysdef, MultiIndex(j))
+            self._spaces[j] = dataclasses.replace(
+                self._spaces[(0,) * self.sysdef.m], j=MultiIndex(j),
+                coords=_coords(self.sysdef, j))
         return self._spaces[j]
 
     def _link_id(self, link: VectorField) -> int:
@@ -124,10 +131,10 @@ class ProlongedSystem:
         self.j = MultiIndex(j)
         self.seed = seed
         self.samples = samples
-        self.space = build_space(sysdef, self.j)
         self.base_point = base_point
         self.points = points if points is not None else SamplePoints(seed)
         self.links = links if links is not None else ChainLinks(sysdef)
+        self.space = self.links.space(self.j)
         self.g0 = VectorField(self.space, _drift(sysdef, [
             (i, k) for i, ji in enumerate(self.j, start=1)
             for k in range(ji)]))

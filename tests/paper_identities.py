@@ -11,7 +11,8 @@ sweep, which re-checks every earlier k, the former sigma step over every
 tuple of the box, the former fraction-free
 elimination over Q, which the elimination over Z[x] must agree with,
 the former nullspace of a row echelon form by back-substitution, the
-former eager flat-output ansatz and search, and the former base-point
+former eager flat-output ansatz and search, the former graded-lex
+comparator of monomials, and the former base-point
 evaluators: a field's row numbered per jet space, and a singular factor
 rendered, parsed back through the system DSL and evaluated.
 """
@@ -20,8 +21,8 @@ import itertools
 from fractions import Fraction
 from typing import List, Optional, Set, Tuple
 
-from flatcheck.expr import (UDERIV, Expr, Poly, VarRef, mono_from, pconst,
-                            pdivexact, pmul, psub)
+from flatcheck.expr import (UDERIV, Expr, Mono, Poly, VarRef, mono_from,
+                            pconst, pdivexact, pmul, psub)
 from flatcheck.flatness import (Budgets, Context, Initialization,
                                 NotLinearizable, SigmaRun, _ansatz_monomials,
                                 _box_limit, _cap, _cmin, _embed,
@@ -342,6 +343,34 @@ class BoxSigmaRun(SigmaRun):
 
     def _covers(self, surv, t, k) -> bool:
         return t in surv
+
+
+# ---------------------------------------------------------------------------
+# The former graded-lex comparator (`expr.mono_key` gives the same order)
+
+def mono_cmp(a: Mono, b: Mono) -> int:
+    """Graded lexicographic order; larger exponent on an earlier variable wins."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return -1 if da < db else 1
+    ia = ib = 0
+    while ia < len(a) and ib < len(b):
+        va, ea = a[ia]
+        vb, eb = b[ib]
+        ka, kb = va.sort_key(), vb.sort_key()
+        if ka < kb:
+            return 1
+        if kb < ka:
+            return -1
+        if ea != eb:
+            return 1 if ea > eb else -1
+        ia += 1
+        ib += 1
+    if ia < len(a):
+        return 1
+    if ib < len(b):
+        return -1
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -184,13 +184,21 @@ def test_closed_pipe_is_not_a_verdict():
 def test_budget_flags_are_checked_for_every_subcommand(capsys):
     from flatcheck import cli
     chained = str(FIXTURES / "chained.flt")
-    extra = {"analyze": [], "verify": [], "bracket": ["g0", "g1"], "lint": []}
-    for command, rest in extra.items():
+    for command in ("analyze", "verify"):
         for flags in (["--samples", "0"], ["--ansatz-degree", "-2"],
                       ["--max-k", "-1"], ["--max-prolong", "0"]):
-            code = cli.main([command, chained, *rest, *flags])
+            code = cli.main([command, chained, *flags])
             assert code == cli.EXIT_USAGE, (command, flags)
             assert "must be positive" in capsys.readouterr().err
+    # bracket samples nothing and lint only parses: neither takes a budget
+    extra = {"bracket": ["g0", "g1"], "lint": []}
+    for command, rest in extra.items():
+        for flags in (["--seed", "3"], ["--samples", "5"], ["--max-k", "2"],
+                      ["--max-prolong", "4"], ["--ansatz-degree", "2"]):
+            code = cli.main([command, chained, *rest, *flags])
+            assert code == cli.EXIT_USAGE, (command, flags)
+            assert "unrecognized arguments: %s" % flags[0] in \
+                capsys.readouterr().err
 
 
 def test_json_and_trace_are_analyze_flags_only(capsys):

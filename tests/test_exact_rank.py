@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from flatcheck.expr import (Expr, mono_cmp, mono_mul, param_var, pconst,
-                            render_poly, sin_var, state_var)
+from flatcheck.expr import (Expr, mono_mul, param_var, pconst, render_poly,
+                            sin_var, state_var)
 from flatcheck.flatness import _chain, _gradient_field, verify_flat_output
 from flatcheck.jetgeom import (Distribution, GeometryError, JetSpace,
                                MultiIndex, VectorField, _Packing, _zdiv,
@@ -20,7 +20,7 @@ from flatcheck.jetgeom import (Distribution, GeometryError, JetSpace,
 from flatcheck.prolong import (build_prolonged, delta_generators,
                                g_level_fields)
 
-from paper_identities import q_symbolic_rank
+from paper_identities import mono_cmp, q_symbolic_rank
 
 FIVE = ("chained", "driftless", "clm", "pendulum", "threeinput")
 # the paper's minimal prolongations of the flat fixtures

@@ -793,3 +793,24 @@ def test_a_home_evaluates_only_its_new_generators_at_the_base_point(
                 across += 1
                 evaluated += n
     assert (across, evaluated) == (12, 12)
+
+
+def test_every_jet_space_of_an_analysis_comes_from_its_store(pendulum,
+                                                              monkeypatch):
+    # the store finds the trig bases once, for X^(0); every prolonged
+    # system of the analysis reads its space from the store
+    ctx = Context(pendulum, Budgets())
+    calls = []
+    trig_bases = SystemDef.trig_bases
+
+    def counted(self):
+        calls.append(self)
+        return trig_bases(self)
+
+    monkeypatch.setattr(SystemDef, "trig_bases", counted)
+    for j in itertools.product(range(3), repeat=pendulum.m):
+        ps = ctx.ps(j)
+        assert ps.space is ctx.chain_links.space(j)
+        assert ps.space == prolong.build_space(pendulum, MultiIndex(j))
+        assert ps.space.trig_bases
+    assert len(calls) == 3 ** pendulum.m    # build_space's, none of ctx's
